@@ -163,6 +163,51 @@ class HicooTensor(SparseTensorFormat):
             metrics.inc("gather.cache_hits")
         return cached
 
+    def lower_mode(self, mode: int, nthreads: int, strategy: str = "auto",
+                   superblock_bits: Optional[int] = None, rank: int = 1):
+        """Lower the mode-``mode`` MTTKRP over superblocks of
+        ``superblock_bits`` (default ``min(block_bits + 3, 20)``).
+
+        ``"schedule"``: the lock-free superblock schedule, one task per
+        thread's superblock groups (disjoint output rows).
+        ``"privatize"``: contiguous superblock ranges balanced by nnz.
+        ``"auto"`` applies the paper's heuristic, which weighs the private
+        output copies of ``rank`` columns.
+        """
+        from ..kernels.plan import ModePlan
+        from ..parallel.partition import balanced_ranges
+        from .scheduler import choose_strategy, schedule_mode
+        from .superblock import build_superblocks
+
+        mode = check_mode(mode, self.nmodes)
+        sb_bits = superblock_bits if superblock_bits is not None else min(
+            self.block_bits + 3, 20)
+        sbs = build_superblocks(self, sb_bits)
+        if strategy == "auto":
+            strategy = choose_strategy(sbs, mode, nthreads,
+                                       self._shape[mode], rank)
+        sched = None
+        if strategy == "schedule":
+            sched = schedule_mode(sbs, mode, nthreads)
+            runs = [coalesce_runs([sbs.block_range(sb) for sb in group])
+                    for group in sched.assignment]
+            thread_nnz = sched.thread_nnz.copy()
+        elif strategy == "privatize":
+            ranges = balanced_ranges(sbs.nnz_per_superblock, nthreads)
+            runs = [coalesce_runs([(sbs.sptr[lo], sbs.sptr[hi])])
+                    for lo, hi in ranges]
+            thread_nnz = np.array(
+                [int(sbs.nnz_per_superblock[lo:hi].sum())
+                 for lo, hi in ranges], dtype=np.int64)
+        else:
+            raise ValueError(
+                f"HiCOO supports 'schedule' or 'privatize', got {strategy!r}")
+        return ModePlan(mode=mode, strategy=strategy,
+                        gathers=[self.task_gather(r) for r in runs],
+                        thread_nnz=thread_nnz,
+                        key=("blocks", tuple(map(tuple, runs))),
+                        schedule=sched, superblocks=sbs)
+
     def clear_gather_cache(self) -> None:
         """Drop every memoized :meth:`task_gather` entry (frees memory)."""
         self.__dict__.setdefault("_gather_cache", {}).clear()

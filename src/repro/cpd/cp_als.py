@@ -76,11 +76,11 @@ def cp_als(tensor: SparseTensorFormat, rank: int, *,
     strategy : parallel MTTKRP strategy (see ``mttkrp_parallel``).
     seed : seeds the initializer for reproducible runs.
     callback : called as ``callback(iteration, fit)`` after every iteration.
-    plan : a precomputed :class:`repro.kernels.plan.MttkrpPlan` for a HiCOO
-        ``tensor``; pass one to share the symbolic state (superblocks,
-        schedules, fused gather arrays) across CP-ALS restarts.  When
-        omitted and ``nthreads > 1``, one plan is built here and reused by
-        every mode of every iteration.
+    plan : a precomputed :class:`repro.kernels.plan.MttkrpPlan` for
+        ``tensor`` (any format); pass one to share the symbolic state
+        (partitions, schedules, fused gather arrays) across CP-ALS
+        restarts.  When omitted and the run is parallel, one plan is built
+        here and reused by every mode of every iteration.
     backend : parallel execution backend forwarded to
         :func:`repro.kernels.mttkrp.mttkrp_parallel` — ``"sim"`` (default),
         ``"thread"``, ``"process"`` (true multicore over shared memory;
@@ -136,22 +136,14 @@ def cp_als(tensor: SparseTensorFormat, rank: int, *,
     weights = np.ones(rank)
     result = CpAlsResult(ktensor=KruskalTensor(weights, factors))
 
-    # precompute the parallel plan once: the superblock index, per-mode
-    # schedules, and fused gather arrays are symbolic state, identical
-    # across iterations — built here (or passed in), reused every MTTKRP
-    from ..core.hicoo import HicooTensor
-
+    # lower every mode once: the partitions, per-mode schedules and fused
+    # gather arrays are symbolic state, identical across iterations —
+    # built here (or passed in) before the timed loop, reused every MTTKRP
     parallel = nthreads > 1 or backend in ("process", "numba", "cupy")
-    if plan is None and parallel and isinstance(tensor, HicooTensor):
+    if plan is None and parallel:
         from ..kernels.plan import plan_mttkrp
 
-        plan = plan_mttkrp(tensor, rank, nthreads,
-                           strategy=strategy if strategy != "atomic"
-                           else "auto")
-    if plan is not None and isinstance(tensor, HicooTensor):
-        # materialize every mode's gather arrays up front so no iteration
-        # (not even the first) pays symbolic cost inside the timed loop
-        plan.ensure_gathers(tensor)
+        plan = plan_mttkrp(tensor, rank, nthreads, strategy=strategy)
     if backend == "numba":
         # compile the fused kernels (no-op when numba is absent) so JIT
         # cost lands before the timed loop, not inside iteration 0
@@ -161,6 +153,8 @@ def cp_als(tensor: SparseTensorFormat, rank: int, *,
 
     # derived HiCOO structure parameters (the paper's alpha_b / c_b) tag
     # every iteration span so traces compare directly to the storage model
+    from ..core.hicoo import HicooTensor
+
     geom = {}
     if isinstance(tensor, HicooTensor):
         geom = {"alpha_b": tensor.block_ratio(),
@@ -177,12 +171,7 @@ def cp_als(tensor: SparseTensorFormat, rank: int, *,
                     t0 = time.perf_counter()
                     if plan is not None:
                         m = mttkrp_parallel(tensor, factors, mode,
-                                            plan.nthreads, strategy=strategy,
-                                            plan=plan, backend=backend,
-                                            fault_policy=fault_policy).output
-                    elif parallel:
-                        m = mttkrp_parallel(tensor, factors, mode, nthreads,
-                                            strategy=strategy,
+                                            plan.nthreads, plan=plan,
                                             backend=backend,
                                             fault_policy=fault_policy).output
                     else:

@@ -134,34 +134,6 @@ class AltoPartition:
         return int(self.thread_nnz.nbytes)
 
 
-class _AltoProcView:
-    """Duck-typed HiCOO stand-in handing one ALTO mode view to the process
-    backend.
-
-    The shared-memory session shares ``bptr``/``binds``/``einds``/``values``
-    and workers rebuild ``ginds = (binds[blk] << block_bits) + einds``; with
-    one "block" per output-row segment, all-zero ``binds`` and
-    ``block_bits = 0`` that reconstruction returns the mode-sorted global
-    coordinates exactly, so the unchanged worker kernel — and the
-    supervisor's reset-and-retry idempotence, which zeroes the rows a task's
-    ``ginds`` names — applies verbatim.
-    """
-
-    def __init__(self, shape, seg_starts, ginds, values):
-        nnz = len(values)
-        self.shape = tuple(shape)
-        self.block_bits = 0
-        self.bptr = np.concatenate([seg_starts, [nnz]]).astype(np.int64)
-        self.binds = np.zeros((len(seg_starts), ginds.shape[1]),
-                              dtype=np.int64)
-        self.einds = ginds
-        self.values = values
-
-    @property
-    def nsegments(self) -> int:
-        return len(self.bptr) - 1
-
-
 class AltoTensor(SparseTensorFormat):
     """Sparse tensor stored as adaptively linearized (ALTO) keys.
 
@@ -191,7 +163,6 @@ class AltoTensor(SparseTensorFormat):
         self._mode_views: Dict[int, TaskGather] = {}
         self._segments: Dict[int, np.ndarray] = {}
         self._partitions: Dict[Tuple[int, int], AltoPartition] = {}
-        self._proc_views: Dict[int, _AltoProcView] = {}
 
     # ------------------------------------------------------------------
     # format interface
@@ -225,7 +196,6 @@ class AltoTensor(SparseTensorFormat):
         out._mode_views = {}
         out._segments = {}
         out._partitions = {}
-        out._proc_views = {}
         return out
 
     def to_coo(self) -> CooTensor:
@@ -287,13 +257,9 @@ class AltoTensor(SparseTensorFormat):
             with trace.span("alto.mode_view", mode=mode, nnz=self.nnz):
                 ginds = self.delinearized()
                 perm = self._mode_order(mode)
-                g = np.ascontiguousarray(ginds[perm])
-                v = np.ascontiguousarray(self.values[perm])
-                sorted_modes = np.array(
-                    [bool(np.all(g[1:, m] >= g[:-1, m]))
-                     for m in range(self.nmodes)], dtype=bool)
-                tg = TaskGather(runs=((0, self.nnz),), ginds=g, values=v,
-                                sorted_modes=sorted_modes)
+                tg = TaskGather.of(np.ascontiguousarray(ginds[perm]),
+                                   np.ascontiguousarray(self.values[perm]),
+                                   runs=((0, self.nnz),))
             self._mode_views[mode] = tg
         else:
             metrics.inc("alto.view_hits")
@@ -320,12 +286,8 @@ class AltoTensor(SparseTensorFormat):
         tg = self.__dict__.get("_linear_tg")
         if tg is None:
             metrics.inc("alto.view_builds")
-            ginds = self.delinearized()
-            sorted_modes = np.array(
-                [bool(np.all(ginds[1:, m] >= ginds[:-1, m]))
-                 for m in range(self.nmodes)], dtype=bool)
-            tg = TaskGather(runs=((0, self.nnz),), ginds=ginds,
-                            values=self.values, sorted_modes=sorted_modes)
+            tg = TaskGather.of(self.delinearized(), self.values,
+                               runs=((0, self.nnz),))
             self.__dict__["_linear_tg"] = tg
         else:
             metrics.inc("alto.view_hits")
@@ -377,17 +339,36 @@ class AltoTensor(SparseTensorFormat):
             self._partitions[(mode, nthreads)] = part
         return part
 
-    def proc_view(self, mode: int) -> _AltoProcView:
-        """HiCOO-shaped stand-in for the shared-memory process backend
-        (memoized per mode; released via ``procpool.release_shared``)."""
+    def lower_mode(self, mode: int, nthreads: int, strategy: str = "auto",
+                   superblock_bits=None, rank: int = 1):
+        """Lower the mode-``mode`` MTTKRP to ``nthreads`` tasks, pinned to
+        the sequential scatter (``scatter="seq"``).
+
+        * ``"schedule"`` (default): the row-disjoint equal-nnz ranges of
+          :meth:`schedule` over :meth:`mode_view`.  Per-row accumulation
+          order is independent of the partition, which keeps every task
+          count and backend **bit-identical** to the sequential COO oracle.
+        * ``"privatize"``: equal-nnz slices of the key order
+          (:meth:`linear_view`) into private buffers plus one reduction
+          (reassociates row sums; ULP-close only).
+        """
+        from ..kernels.plan import ModePlan
+
         mode = check_mode(mode, self.nmodes)
-        view = self._proc_views.get(mode)
-        if view is None:
-            tg = self.mode_view(mode)
-            view = _AltoProcView(self._shape, self.row_segments(mode),
-                                 tg.ginds, tg.values)
-            self._proc_views[mode] = view
-        return view
+        strategy = "schedule" if strategy == "auto" else strategy
+        if strategy == "schedule":
+            view = self.mode_view(mode)
+            ranges = self.schedule(mode, nthreads).ranges
+            key = ("mode", mode)
+        elif strategy == "privatize":
+            view = self.linear_view()
+            ranges = balanced_ranges(np.ones(self.nnz), nthreads)
+            key = ("linear",)
+        else:
+            raise ValueError(
+                f"ALTO supports 'schedule' or 'privatize', got {strategy!r}")
+        return ModePlan.from_ranges(mode, strategy, view.ginds, view.values,
+                                    ranges, key=key, scatter="seq")
 
     # ------------------------------------------------------------------
     # kernels
@@ -423,19 +404,12 @@ class AltoTensor(SparseTensorFormat):
             total += starts.nbytes
         for part in self._partitions.values():
             total += part.nbytes()
-        for view in self._proc_views.values():
-            total += view.bptr.nbytes + view.binds.nbytes
         return int(total)
 
     def clear_cache(self) -> None:
-        """Drop every memoized view (not the keys/values themselves).
-
-        Do not clear while a process-backend session is live — release the
-        shared segments first (``procpool.release_shared(tensor)``).
-        """
+        """Drop every memoized view (not the keys/values themselves)."""
         self.__dict__.pop("_ginds", None)
         self.__dict__.pop("_linear_tg", None)
         self._mode_views.clear()
         self._segments.clear()
         self._partitions.clear()
-        self._proc_views.clear()

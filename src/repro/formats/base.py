@@ -60,6 +60,18 @@ class SparseTensorFormat(abc.ABC):
         """Exact byte accounting, keyed by component (e.g. ``indices``,
         ``values``, ``pointers``).  ``sum(d.values())`` is the format total."""
 
+    def lower_mode(self, mode: int, nthreads: int, strategy: str = "auto",
+                   superblock_bits=None, rank: int = 1):
+        """Lower the mode-``mode`` MTTKRP to ``nthreads`` parallel tasks.
+
+        Returns a :class:`repro.kernels.plan.ModePlan`; see that module for
+        each format's lowering.  ``rank`` feeds strategy heuristics that
+        weigh the output size, ``superblock_bits`` the HiCOO partition.
+        Formats without a parallel lowering raise ``TypeError``.
+        """
+        raise TypeError(
+            f"no parallel MTTKRP for format {type(self).__name__}")
+
     # ------------------------------------------------------------------
     # conveniences shared by all formats
     # ------------------------------------------------------------------

@@ -302,6 +302,23 @@ class CooTensor(SparseTensorFormat):
         scatter_add(out, self.indices[:, mode], acc)
         return out
 
+    def lower_mode(self, mode: int, nthreads: int, strategy: str = "auto",
+                   superblock_bits=None, rank: int = 1):
+        """Equal-nnz slices of the stored order: ``"privatize"`` (default)
+        or ``"atomic"`` (one shared output; tasks run one at a time, the
+        contention a real machine pays is charged by the machine model)."""
+        from ..kernels.plan import ModePlan
+        from ..parallel.partition import balanced_ranges
+
+        mode = check_mode(mode, self.nmodes)
+        strategy = "privatize" if strategy == "auto" else strategy
+        if strategy not in ("privatize", "atomic"):
+            raise ValueError(
+                f"COO supports 'privatize' or 'atomic', got {strategy!r}")
+        ranges = balanced_ranges(np.ones(self.nnz), nthreads)
+        return ModePlan.from_ranges(mode, strategy, self.indices,
+                                    self.values, ranges, key=("coo",))
+
     def ttv(self, vector: np.ndarray, mode: int) -> "CooTensor":
         """Tensor-times-vector: contract ``mode`` with ``vector``.
 

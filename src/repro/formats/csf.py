@@ -189,6 +189,34 @@ class CsfTensor(SparseTensorFormat):
                     presorted=depth_of_mode == 0)
         return out
 
+    def lower_mode(self, mode: int, nthreads: int, strategy: str = "auto",
+                   superblock_bits=None, rank: int = 1):
+        """Root subtrees, balanced by nonzero count, over the coordinates
+        of the level iterator (:func:`repro.formats.levels.iterate_coords`,
+        storage order).  Subtrees own disjoint root fids, so the tasks
+        share the output (``"subtree"``) when ``mode`` is the root mode;
+        any other target mode is privatized."""
+        from ..kernels.plan import ModePlan
+        from ..parallel.partition import balanced_ranges
+        from .levels import iterate_coords
+
+        mode = check_mode(mode, self.nmodes)
+        strategy = "subtree" if strategy == "auto" else strategy
+        if strategy not in ("subtree", "privatize"):
+            raise ValueError(
+                f"CSF supports 'subtree' or 'privatize', got {strategy!r}")
+        if self.mode_order[0] != mode:
+            strategy = "privatize"
+        # nonzero offset of every root subtree, down the fptr chain
+        bounds = np.arange(self.levels[0].nnodes + 1)
+        for level in self.levels[:-1]:
+            bounds = level.fptr[bounds]
+        ranges = [(bounds[lo], bounds[hi])
+                  for lo, hi in balanced_ranges(np.diff(bounds), nthreads)]
+        ginds, values = iterate_coords(self)
+        return ModePlan.from_ranges(mode, strategy, ginds, values, ranges,
+                                    key=("csf",))
+
     # ------------------------------------------------------------------
     # statistics
     # ------------------------------------------------------------------

@@ -208,13 +208,22 @@ class FusedTasks:
     ginds: np.ndarray     # (nnz, N) int64, task order
     values: np.ndarray    # (nnz,) float64
     row_disjoint: bool
+    #: (ntasks, N) bool: each task's TaskGather.sorted_modes, so a task
+    #: sliced back out (the process workers) scatters exactly as before
+    sorted_modes: np.ndarray
 
     @property
     def nnz(self) -> int:
         return len(self.values)
 
     def nbytes(self) -> int:
-        return self.task_ptr.nbytes + self.ginds.nbytes + self.values.nbytes
+        return (self.task_ptr.nbytes + self.ginds.nbytes + self.values.nbytes
+                + self.sorted_modes.nbytes)
+
+    def arrays(self) -> tuple:
+        """``(task_ptr, ginds, values, sorted_modes)``: what a process
+        worker needs to slice task ``t`` back out."""
+        return self.task_ptr, self.ginds, self.values, self.sorted_modes
 
 
 def build_fused_tasks(gathers: Sequence[TaskGather],
@@ -225,8 +234,8 @@ def build_fused_tasks(gathers: Sequence[TaskGather],
     if len(sizes):
         np.cumsum(sizes, out=task_ptr[1:])
     nonempty = [tg for tg in gathers if tg.nnz]
+    nmodes = gathers[0].ginds.shape[1] if gathers else 0
     if not nonempty:
-        nmodes = gathers[0].ginds.shape[1] if gathers else 0
         ginds = np.empty((0, nmodes), dtype=np.int64)
         values = np.empty(0, dtype=np.float64)
     elif len(nonempty) == 1:
@@ -237,7 +246,10 @@ def build_fused_tasks(gathers: Sequence[TaskGather],
     return FusedTasks(task_ptr=task_ptr,
                       ginds=np.ascontiguousarray(ginds, dtype=np.int64),
                       values=np.ascontiguousarray(values, dtype=np.float64),
-                      row_disjoint=row_disjoint)
+                      row_disjoint=row_disjoint,
+                      sorted_modes=np.array(
+                          [tg.sorted_modes for tg in gathers],
+                          dtype=bool).reshape(len(gathers), nmodes))
 
 
 def stack_factors(factors: Sequence[np.ndarray]
@@ -415,44 +427,37 @@ def mttkrp_cupy(fused: FusedTasks, factors: Sequence[np.ndarray], mode: int,
 
 
 # ----------------------------------------------------------------------
-# plan-level cache + the entry point mttkrp_parallel dispatches to
+# plan-level cache + the entry point the executor dispatches to
 # ----------------------------------------------------------------------
-def _mode_state(plan, tensor, mode: int, tier: str):
-    """Fused arrays (and, for cupy, the device arena) cached on the plan."""
-    mp = plan.for_mode(mode)
-    cache = mp.compiled
-    fused = cache.get("fused")
+def fused_tasks(mode_plan) -> FusedTasks:
+    """The mode's fused arrays, built once and cached on the mode plan."""
+    fused = mode_plan.compiled.get("fused")
     if fused is None:
-        gathers = plan.ensure_gathers(tensor, mode)
-        fused = build_fused_tasks(gathers, mp.strategy == "schedule")
-        cache["fused"] = fused
+        fused = build_fused_tasks(mode_plan.gathers, mode_plan.row_disjoint)
+        mode_plan.compiled["fused"] = fused
         metrics.inc("compiled.fused_builds")
     else:
         metrics.inc("compiled.fused_hits")
-    arena = None
-    if tier == "cupy":
-        arena = cache.get("arena")
-        if arena is None:
-            arena = DeviceArena()
-            cache["arena"] = arena
-    return fused, arena
+    return fused
 
 
-def mttkrp_compiled(tensor, factors: Sequence[np.ndarray], mode: int,
-                    plan, tier: str,
-                    out: Optional[np.ndarray] = None
+def mttkrp_compiled(mode_plan, factors: Sequence[np.ndarray], rows: int,
+                    tier: str, out: Optional[np.ndarray] = None
                     ) -> Tuple[np.ndarray, str, List[float]]:
-    """Execute one mode's MTTKRP on a compiled tier from a plan.
+    """Execute one lowered mode on a compiled tier (``"numba"``/``"cupy"``).
 
     Returns ``(output, scatter_flavor, [kernel_seconds])``.  The caller
-    (:func:`repro.kernels.mttkrp.mttkrp_parallel`) has already verified
-    the tier is available and the tensor is HiCOO.
+    (:func:`repro.kernels.mttkrp.execute`) has already verified the tier is
+    available and the plan's scatter contract is ``"auto"``.
     """
     rank = factors[0].shape[1]
-    rows = tensor.shape[mode]
-    fused, arena = _mode_state(plan, tensor, mode, tier)
+    mode = mode_plan.mode
+    fused = fused_tasks(mode_plan)
     t0 = time.perf_counter()
     if tier == "cupy":
+        arena = mode_plan.compiled.get("arena")
+        if arena is None:
+            arena = mode_plan.compiled["arena"] = DeviceArena()
         output = mttkrp_cupy(fused, factors, mode, rows, rank, arena)
         flavor = "cupy"
     else:
@@ -460,8 +465,7 @@ def mttkrp_compiled(tensor, factors: Sequence[np.ndarray], mode: int,
         flavor = run_fused_mttkrp(fused, factors, mode, output)
     elapsed = time.perf_counter() - t0
     if flavor != "noop":
-        backend = "numba" if tier == "numba" else tier
-        metrics.inc("scatter.calls", labels={"backend": backend})
+        metrics.inc("scatter.calls", labels={"backend": tier})
         metrics.inc("scatter.updates", fused.nnz)
-        metrics.inc("scatter." + backend)
+        metrics.inc("scatter." + tier)
     return output, flavor, [elapsed]

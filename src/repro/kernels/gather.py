@@ -270,11 +270,12 @@ def runs_from_block_ids(block_ids) -> List[Tuple[int, int]]:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TaskGather:
-    """Cached symbolic state of one thread task over a HiCOO tensor.
+    """Cached symbolic state of one thread task over any format.
 
     Attributes
     ----------
-    runs : tuple of (blk_lo, blk_hi) — the block runs this task owns.
+    runs : tuple of (lo, hi) — what this task owns in its source: HiCOO
+        block runs, or a nonzero slice of an ALTO/COO/CSF traversal.
     ginds : (nnz, N) int64 — fused global coordinates
         ``(binds[blk] << block_bits) + einds``, task order.
     values : (nnz,) float64 — the nonzero values in the same order (constant
@@ -287,6 +288,16 @@ class TaskGather:
     ginds: np.ndarray
     values: np.ndarray
     sorted_modes: np.ndarray
+
+    @classmethod
+    def of(cls, ginds: np.ndarray, values: np.ndarray,
+           runs: Tuple[Tuple[int, int], ...] = ()) -> "TaskGather":
+        """Wrap task-ordered coordinates and values, probing sortedness."""
+        sorted_modes = np.array(
+            [bool(np.all(ginds[1:, m] >= ginds[:-1, m]))
+             for m in range(ginds.shape[1])], dtype=bool)
+        return cls(runs=runs, ginds=ginds, values=values,
+                   sorted_modes=sorted_modes)
 
     @property
     def nnz(self) -> int:
@@ -325,11 +336,7 @@ def build_task_gather(tensor, runs: Sequence[Tuple[int, int]]) -> TaskGather:
     else:
         ginds = np.empty((0, nmodes), dtype=np.int64)
         values = np.empty(0, dtype=np.float64)
-    sorted_modes = np.array(
-        [bool(np.all(ginds[1:, m] >= ginds[:-1, m]))
-         for m in range(ginds.shape[1])], dtype=bool)
-    return TaskGather(runs=runs, ginds=ginds, values=values,
-                      sorted_modes=sorted_modes)
+    return TaskGather.of(ginds, values, runs=runs)
 
 
 # ----------------------------------------------------------------------

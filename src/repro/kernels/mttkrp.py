@@ -1,18 +1,26 @@
-"""MTTKRP kernels: sequential dispatch and the parallel strategies.
+"""MTTKRP kernels: sequential dispatch and the one parallel execution path.
 
 Sequential MTTKRP lives on each format class; this module adds
 
 * :func:`mttkrp` — format dispatch (the function CP-ALS calls), and
-* :func:`mttkrp_parallel` — the paper's parallel algorithms:
+* :func:`mttkrp_parallel` — the paper's parallel algorithms for every
+  format: take the mode's :class:`~repro.kernels.plan.ModePlan` from a plan
+  (or lower it now with the format's ``lower_mode``) and :func:`execute` it.
 
-  - **COO/atomic**: nonzeros split across threads, shared output, every
-    scatter is an atomic update (the penalty the machine model charges);
-  - **COO/privatize**: same split, per-thread outputs, reduction at the end;
-  - **HiCOO/schedule**: the lock-free superblock schedule — threads own
-    disjoint output row ranges, no atomics, no extra memory;
-  - **HiCOO/privatize**: superblocks split contiguously, private outputs;
-  - **CSF**: root subtrees split across threads; writes are naturally
-    disjoint when the target mode is the tree root, privatized otherwise.
+A lowered mode is a list of tasks plus the strategy that says how they
+share the output (see :mod:`repro.kernels.plan` for each format's
+lowering):
+
+* ``"schedule"`` / ``"subtree"`` — tasks own disjoint output rows (HiCOO's
+  lock-free superblock schedule, ALTO's row-segment partition, CSF root
+  subtrees of the root mode): one shared output, no atomics, no extra
+  memory;
+* ``"privatize"`` — every task writes a private buffer, one reduction
+  follows;
+* ``"atomic"`` (COO) — tasks overlap on output rows and share one output.
+  NumPy has no atomic scatter-add, so these tasks run one at a time on
+  every backend; the atomic penalty a real machine would pay is charged
+  analytically by the machine model.
 
 Every parallel run returns the output *and* an execution record with the
 per-thread work counts the analytic machine model consumes.
@@ -21,27 +29,23 @@ per-thread work counts the analytic machine model consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.hicoo import HicooTensor
-from ..core.scheduler import Schedule, choose_strategy, schedule_mode
-from ..core.superblock import build_superblocks
-from ..formats.alto import AltoTensor
+from ..core.scheduler import Schedule
 from ..formats.base import SparseTensorFormat
-from ..formats.coo import CooTensor
-from ..formats.csf import CsfTensor
 from ..obs import metrics, trace
 from ..parallel.executor import (ExecutionReport, TaskResult, resolve_backend,
                                  run_tasks)
-from ..parallel.partition import balanced_ranges
 from ..parallel.privatize import PrivateBuffers
 from ..util.validation import check_factors, check_mode
 from .backends import resolve_kernel_backend
-from .gather import mttkrp_gather_chunk, scatter_add
+from .gather import mttkrp_gather_chunk
+from .plan import ModePlan
 
-__all__ = ["MttkrpRun", "mttkrp", "mttkrp_parallel"]
+__all__ = ["MttkrpRun", "execute", "mttkrp", "mttkrp_parallel"]
 
 
 @dataclass
@@ -84,32 +88,29 @@ def mttkrp(tensor: SparseTensorFormat, factors: Sequence[np.ndarray],
 def mttkrp_parallel(tensor: SparseTensorFormat, factors: Sequence[np.ndarray],
                     mode: int, nthreads: int, strategy: str = "auto",
                     superblock_bits: Optional[int] = None,
-                    real_threads: bool = False,
                     plan=None, backend: Optional[str] = None,
                     fault_policy=None) -> MttkrpRun:
-    """Parallel MTTKRP with the strategy set of the paper.
+    """Parallel MTTKRP with the strategy set of the paper, on any format.
 
-    ``strategy``:
+    ``strategy``: ``"auto"`` (the format's default — the paper's heuristic
+    for HiCOO, ``"schedule"`` for ALTO, ``"subtree"`` for CSF,
+    ``"privatize"`` for COO), ``"schedule"`` (HiCOO, ALTO), ``"subtree"``
+    (CSF), ``"privatize"`` (every format) or ``"atomic"`` (COO).
 
-    * ``"auto"`` — the paper's heuristic (:func:`choose_strategy` for HiCOO,
-      privatization for COO);
-    * ``"atomic"``, ``"privatize"`` — COO and HiCOO;
-    * ``"schedule"`` — HiCOO only (lock-free superblock scheduling).
-
-    ``plan`` — a precomputed :class:`repro.kernels.plan.MttkrpPlan` for a
-    HiCOO tensor; skips superblock construction and scheduling entirely
-    (CP-ALS builds one plan and reuses it every iteration).
+    ``plan`` — a precomputed :class:`repro.kernels.plan.MttkrpPlan`; skips
+    the lowering (superblocks, schedules, gathers) entirely — CP-ALS builds
+    one plan and reuses it every iteration.  Its thread count wins over
+    ``nthreads``.
 
     ``backend`` — ``"sim"`` (sequential, individually timed tasks),
-    ``"thread"`` (GIL-sharing thread pool; equivalent to the legacy
-    ``real_threads=True``), ``"process"`` (true multicore over shared
-    memory; HiCOO only, see :mod:`repro.parallel.procpool`), ``"numba"``
+    ``"thread"`` (GIL-sharing thread pool), ``"process"`` (true multicore
+    over shared memory, see :mod:`repro.parallel.procpool`), ``"numba"``
     (fused machine-code kernels, ``prange`` over the plan's row-disjoint
     tasks), or ``"cupy"`` (GPU segmented reductions over a device-resident
-    plan).  The compiled tiers are HiCOO-only and **degrade silently** to
-    the NumPy kernels when the dependency is absent (one warning, a
-    ``kernel.fallbacks`` counter bump, identical results) — see
-    :mod:`repro.kernels.backends` and :mod:`repro.kernels.compiled`.
+    plan).  The compiled tiers **degrade silently** to the NumPy kernels
+    when the dependency is absent (one warning, a ``kernel.fallbacks``
+    counter bump, identical results) — see :mod:`repro.kernels.backends`
+    and :mod:`repro.kernels.compiled`.
 
     ``fault_policy`` — process backend only: ``"fail-fast"`` (default, the
     first worker fault propagates), ``"retry"`` (dead/hung workers are
@@ -123,81 +124,170 @@ def mttkrp_parallel(tensor: SparseTensorFormat, factors: Sequence[np.ndarray],
     mode = check_mode(mode, tensor.nmodes)
     if nthreads < 1:
         raise ValueError(f"nthreads must be positive, got {nthreads}")
-    backend = resolve_backend(backend, real_threads)
-    kernel_tier = None
+    backend = resolve_backend(backend)
+    if plan is not None:
+        plan.ensure_gathers(tensor, mode)
+        mode_plan = plan.for_mode(mode)
+    else:
+        mode_plan = tensor.lower_mode(mode, nthreads, strategy,
+                                      superblock_bits,
+                                      rank=factors[0].shape[1])
+    return execute(tensor, mode_plan, factors, backend, fault_policy)
+
+
+def execute(tensor: SparseTensorFormat, mode_plan: ModePlan,
+            factors: Sequence[np.ndarray], backend: str = "sim",
+            fault_policy=None) -> MttkrpRun:
+    """Run one lowered mode of ``tensor`` on ``backend``.
+
+    This is the only parallel MTTKRP executor.  ``"sim"``/``"thread"`` run
+    the tasks in this process, into one shared output (row-disjoint and
+    atomic plans) or private buffers (privatized plans).  ``"process"``
+    runs them in the warm worker pool over shared memory; under
+    ``fault_policy="degrade"`` an exhausted recovery budget re-runs the
+    region in process on the first usable fallback backend — same tasks,
+    same kernels, so the degraded output is identical.  The compiled tiers
+    run every ``scatter="auto"`` plan through the fused kernels of
+    :mod:`repro.kernels.compiled`; ``scatter="seq"`` plans (ALTO) keep their
+    per-task order and only jit the scatter (numba), or fall back to NumPy
+    (cupy).
+    """
+    backend = resolve_backend(backend)
+    tier = None
     if backend in ("numba", "cupy"):
         tier = resolve_kernel_backend(backend)
         if tier == "numpy":
-            backend = "sim"  # tier unavailable: silent NumPy fallback
-        elif isinstance(tensor, HicooTensor):
-            return _parallel_hicoo_compiled(tensor, factors, mode, nthreads,
-                                            strategy, superblock_bits, plan,
-                                            tier)
-        elif isinstance(tensor, AltoTensor) and tier == "numba":
-            # ALTO's output-space tasks are row-disjoint, so the jitted
-            # scatter tier runs them unchanged: the region executes
-            # in-process (like HiCOO's compiled path) with compiled
-            # scatter-adds wherever they clear the crossover
-            kernel_tier = tier
-        else:
-            # the GPU tier consumes HiCOO device plans; other combinations
-            # take the NumPy path (same silent-degrade contract)
+            backend, tier = "sim", None  # unavailable: silent NumPy fallback
+        elif mode_plan.scatter != "auto" and tier != "numba":
             metrics.inc("kernel.fallbacks", labels={"tier": backend})
-            backend = "sim"
-    real_threads = backend == "thread"
-
-    if backend == "process":
-        if isinstance(tensor, AltoTensor):
-            return _parallel_alto_process(tensor, factors, mode, nthreads,
-                                          strategy, fault_policy)
-        if not isinstance(tensor, HicooTensor):
-            raise ValueError(
-                "backend='process' shares HiCOO structure arrays between "
-                f"workers; format {tensor.format_name!r} is not supported — "
-                "convert with HicooTensor(coo) or use backend='thread'")
-        return _parallel_hicoo_process(tensor, factors, mode, nthreads,
-                                       strategy, superblock_bits, plan,
-                                       fault_policy)
-    if fault_policy is not None:
-        # validate the knob even when it is moot (sim/thread tasks run in
-        # this very process and cannot be lost) so typos fail loudly
+            backend, tier = "sim", None
+    if mode_plan.strategy == "atomic" and backend in ("thread", "process"):
+        backend = "sim"  # overlapping rows: one task at a time
+    if backend != "process" and fault_policy is not None:
+        # validate the knob even when it is moot (in-process tasks cannot
+        # be lost) so typos fail loudly
         from ..parallel.supervisor import FaultConfig
 
         FaultConfig.resolve(fault_policy)
+    fused = tier is not None and mode_plan.scatter == "auto"
+    if tier == "numba":
+        # JIT compilation happens here, outside the kernel span, so the
+        # steady-state numbers never include it (recorded separately in
+        # the compiled.compile_seconds metric)
+        from .compiled import warmup_numba
 
-    with trace.span("mttkrp.parallel", mode=mode,
-                    format=tensor.format_name, nthreads=nthreads) as sp:
-        if isinstance(tensor, HicooTensor):
-            if plan is not None:
-                run = _parallel_hicoo_planned(tensor, factors, mode, plan,
-                                              real_threads)
-            else:
-                run = _parallel_hicoo(tensor, factors, mode, nthreads,
-                                      strategy, superblock_bits, real_threads)
-        elif isinstance(tensor, AltoTensor):
-            run = _parallel_alto(tensor, factors, mode, nthreads, strategy,
-                                 real_threads, exec_backend=kernel_tier)
-        elif isinstance(tensor, CsfTensor):
-            run = _parallel_csf(tensor, factors, mode, nthreads, strategy,
-                                real_threads)
-        elif isinstance(tensor, CooTensor):
-            run = _parallel_coo(tensor, factors, mode, nthreads, strategy,
-                                real_threads)
-        else:
-            raise TypeError(
-                f"no parallel MTTKRP for format {type(tensor).__name__}")
+        warmup_numba()
+
+    fmt = tensor.format_name
+    with trace.span("mttkrp.parallel", mode=mode_plan.mode, format=fmt,
+                    nthreads=mode_plan.nthreads, backend=backend) as sp:
+        run = None
+        if fused:
+            run = _execute_compiled(tensor, mode_plan, factors, tier)
+        elif backend == "process":
+            from ..parallel.supervisor import DegradedExecution
+
+            try:
+                run = _execute_process(tensor, mode_plan, factors,
+                                       fault_policy)
+            except DegradedExecution as exc:
+                backend = _degrade(exc, mode_plan.mode)
+                sp.note(degraded=True, fallback=backend)
+        if run is None:
+            run = _execute_local(tensor, mode_plan, factors, backend)
         sp.note(strategy=run.strategy, imbalance=run.load_imbalance())
-    _note_parallel(run, tensor, mode, backend)
+    _note_parallel(run, fmt, mode_plan.mode, run.report.backend)
     return run
 
 
-def _note_parallel(run: "MttkrpRun", tensor, mode: int,
+def _execute_local(tensor, mp: ModePlan, factors, backend: str) -> MttkrpRun:
+    """Tasks as in-process callables (sim, thread, or numba-scatter)."""
+    rows, rank = tensor.shape[mp.mode], factors[0].shape[1]
+    if mp.strategy == "privatize":
+        bufs = PrivateBuffers.allocate(mp.nthreads, rows, rank)
+        targets = [bufs.view(t) for t in range(mp.nthreads)]
+    else:
+        out = np.zeros((rows, rank))
+        targets = [out] * mp.nthreads
+    _observe_blocks(mp.gathers)
+    scatter_tier = "numba" if backend == "numba" else None
+    tasks = [partial(mttkrp_gather_chunk, tg, factors, mp.mode, target,
+                     row_local=mp.row_disjoint, backend=scatter_tier,
+                     scatter=mp.scatter)
+             for tg, target in zip(mp.gathers, targets)]
+    report = run_tasks(tasks, backend=backend)
+    if mp.strategy == "privatize":
+        return _run_of(mp, bufs.reduce(), report,
+                       reduction_flops=bufs.reduction_flops())
+    return _run_of(mp, out, report)
+
+
+def _execute_process(tensor, mp: ModePlan, factors,
+                     fault_policy) -> MttkrpRun:
+    """Tasks in the warm worker pool, over the tensor's shared session."""
+    from ..parallel.procpool import get_pool, session_for
+    from ..parallel.supervisor import FaultConfig
+
+    fault_config = FaultConfig.resolve(fault_policy)
+    with trace.span("mttkrp.process", mode=mp.mode, nworkers=mp.nthreads,
+                    strategy=mp.strategy, fault_policy=fault_config.policy):
+        pool = get_pool(mp.nthreads)
+        session = session_for(tensor, mp.nthreads)
+        output, report = session.run_mode(pool, factors, mp,
+                                          fault_config=fault_config)
+    metrics.inc("procpool.calls")
+    flops = 0
+    if mp.strategy == "privatize":
+        flops = (mp.nthreads - 1) * output.shape[0] * output.shape[1]
+    return _run_of(mp, output, report, reduction_flops=flops)
+
+
+def _execute_compiled(tensor, mp: ModePlan, factors, tier: str) -> MttkrpRun:
+    """One fused kernel launch (numba) or device reduction (cupy)."""
+    from .compiled import mttkrp_compiled
+
+    with trace.span("mttkrp.compiled", mode=mp.mode, tier=tier,
+                    format=tensor.format_name, nthreads=mp.nthreads) as sp:
+        output, flavor, times = mttkrp_compiled(
+            mp, factors, tensor.shape[mp.mode], tier)
+        sp.note(flavor=flavor)
+    report = ExecutionReport(backend=tier, results=[
+        TaskResult(tid=0, elapsed=times[0], value=flavor)])
+    return _run_of(mp, output, report)
+
+
+def _run_of(mp: ModePlan, output, report: ExecutionReport,
+            reduction_flops: int = 0) -> MttkrpRun:
+    atomic = int(mp.thread_nnz.sum()) \
+        if mp.strategy == "atomic" and mp.nthreads > 1 else 0
+    return MttkrpRun(output=output, strategy=mp.strategy,
+                     nthreads=mp.nthreads, thread_nnz=mp.thread_nnz.copy(),
+                     atomic_updates=atomic, reduction_flops=reduction_flops,
+                     schedule=mp.schedule, report=report,
+                     scatter_backends=_backends_of(report))
+
+
+def _degrade(exc, mode: int) -> str:
+    """Pick the fallback backend of a process region that gave up, and
+    record the event (log line, ``supervisor.degradations``, trace)."""
+    from ..util.log import get_logger
+
+    fallbacks = exc.config.fallback_backends or ("sim",)
+    backend = next((b for b in fallbacks if b in ("thread", "sim")), "sim")
+    get_logger("repro.supervisor").warning(
+        "process backend degraded to %r for mode %d: %s", backend, mode, exc)
+    metrics.inc("supervisor.degradations")
+    trace.instant("supervisor.degrade", mode=mode, fallback=backend,
+                  reason=str(exc))
+    return backend
+
+
+def _note_parallel(run: MttkrpRun, fmt: str, mode: int,
                    backend: str) -> None:
     """Count one parallel MTTKRP under its format/backend/mode labels, so
     the telemetry slices regressions along the configuration space."""
     reg = metrics.get_registry()
     if reg.enabled:
-        fmt = tensor.format_name
         reg.inc("mttkrp.parallel_calls",
                 labels={"format": fmt, "backend": backend, "mode": mode})
         reg.observe("mttkrp.load_imbalance", run.load_imbalance(),
@@ -211,7 +301,8 @@ def _backends_of(report: ExecutionReport) -> tuple:
 
 
 def _observe_blocks(gathers) -> None:
-    """Record blocks touched per task (superblock group) as a histogram."""
+    """Record the units (blocks or nonzeros) each task owns as a
+    histogram."""
     reg = metrics.get_registry()
     if reg.enabled:
         for tg in gathers:
@@ -220,72 +311,7 @@ def _observe_blocks(gathers) -> None:
 
 
 # ----------------------------------------------------------------------
-# COO
-# ----------------------------------------------------------------------
-def _coo_chunk(indices, values, factors, mode, out):
-    rank = out.shape[1]
-    if not len(values):
-        return "noop"
-    acc = np.repeat(values[:, None], rank, axis=1)
-    for m, f in enumerate(factors):
-        if m != mode:
-            acc *= f[indices[:, m]]
-    return scatter_add(out, indices[:, mode], acc)
-
-
-def _parallel_coo(tensor, factors, mode, nthreads, strategy, real_threads):
-    if strategy == "auto":
-        strategy = "privatize"
-    if strategy not in ("privatize", "atomic"):
-        raise ValueError(f"COO supports 'privatize' or 'atomic', got {strategy!r}")
-    rank = factors[0].shape[1]
-    rows = tensor.shape[mode]
-    ranges = balanced_ranges(np.ones(tensor.nnz), nthreads)
-    thread_nnz = np.array([hi - lo for lo, hi in ranges], dtype=np.int64)
-
-    if strategy == "privatize":
-        bufs = PrivateBuffers.allocate(nthreads, rows, rank)
-
-        def make_task(tid, lo, hi):
-            def task():
-                return _coo_chunk(tensor.indices[lo:hi], tensor.values[lo:hi],
-                                  factors, mode, bufs.view(tid))
-            return task
-
-        tasks = [make_task(t, lo, hi) for t, (lo, hi) in enumerate(ranges)]
-        # private buffers make concurrent writes race-free, so the caller's
-        # thread mode is honored; the reduction always runs after the tasks
-        report = run_tasks(tasks, real_threads=real_threads)
-        out = bufs.reduce()
-        return MttkrpRun(output=out, strategy="privatize", nthreads=nthreads,
-                         thread_nnz=thread_nnz,
-                         reduction_flops=bufs.reduction_flops(), report=report,
-                         scatter_backends=_backends_of(report))
-
-    # atomic: shared output.  This path deliberately ignores ``real_threads``:
-    # NumPy has no atomic scatter-add, so concurrent tasks writing overlapping
-    # rows of a shared array would silently lose updates.  Sequential
-    # execution keeps the result exact; the atomic penalty a real machine
-    # would pay is charged analytically by the machine model.
-    out = np.zeros((rows, rank))
-
-    def make_task(lo, hi):
-        def task():
-            return _coo_chunk(tensor.indices[lo:hi], tensor.values[lo:hi],
-                              factors, mode, out)
-        return task
-
-    tasks = [make_task(lo, hi) for lo, hi in ranges]
-    report = run_tasks(tasks, real_threads=False)
-    return MttkrpRun(output=out, strategy="atomic", nthreads=nthreads,
-                     thread_nnz=thread_nnz,
-                     atomic_updates=tensor.nnz if nthreads > 1 else 0,
-                     report=report,
-                     scatter_backends=_backends_of(report))
-
-
-# ----------------------------------------------------------------------
-# HiCOO
+# legacy reference kernel
 # ----------------------------------------------------------------------
 def _hicoo_block_range_chunk(tensor, block_ids, factors, mode, out):
     """Legacy per-block chunk: re-materializes index ranges on every call.
@@ -314,466 +340,3 @@ def _hicoo_block_range_chunk(tensor, block_ids, factors, mode, out):
         if m != mode:
             acc *= f[ginds[:, m]]
     np.add.at(out, ginds[:, mode], acc)
-
-
-def _parallel_hicoo(tensor, factors, mode, nthreads, strategy,
-                    superblock_bits, real_threads):
-    rank = factors[0].shape[1]
-    rows = tensor.shape[mode]
-    sb_bits = superblock_bits if superblock_bits is not None else min(
-        tensor.block_bits + 3, 20)
-    sbs = build_superblocks(tensor, sb_bits)
-
-    if strategy == "auto":
-        strategy = choose_strategy(sbs, mode, nthreads, rows, rank)
-    if strategy not in ("schedule", "privatize"):
-        raise ValueError(
-            f"HiCOO supports 'schedule' or 'privatize', got {strategy!r}")
-
-    if strategy == "schedule":
-        sched = schedule_mode(sbs, mode, nthreads)
-        out = np.zeros((rows, rank))
-        # task_gather memoizes on the tensor, so repeated unplanned calls
-        # with the same structure also skip the symbolic work
-        gathers = [tensor.task_gather([sbs.block_range(sb) for sb in sb_list])
-                   for sb_list in sched.assignment]
-        _observe_blocks(gathers)
-
-        def make_task(tg):
-            def task():
-                return mttkrp_gather_chunk(tg, factors, mode, out,
-                                           row_local=True)
-            return task
-
-        tasks = [make_task(tg) for tg in gathers]
-        report = run_tasks(tasks, real_threads=real_threads)
-        return MttkrpRun(output=out, strategy="schedule", nthreads=nthreads,
-                         thread_nnz=sched.thread_nnz.copy(), schedule=sched,
-                         report=report,
-                         scatter_backends=_backends_of(report))
-
-    # privatize: contiguous superblock ranges balanced by nnz
-    ranges = balanced_ranges(sbs.nnz_per_superblock, nthreads)
-    bufs = PrivateBuffers.allocate(nthreads, rows, rank)
-    thread_nnz = np.array(
-        [int(sbs.nnz_per_superblock[lo:hi].sum()) for lo, hi in ranges],
-        dtype=np.int64)
-    gathers = [tensor.task_gather([(int(sbs.sptr[lo]), int(sbs.sptr[hi]))])
-               if lo < hi else tensor.task_gather([])
-               for lo, hi in ranges]
-    _observe_blocks(gathers)
-
-    def make_task(tid, tg):
-        def task():
-            return mttkrp_gather_chunk(tg, factors, mode, bufs.view(tid))
-        return task
-
-    tasks = [make_task(t, tg) for t, tg in enumerate(gathers)]
-    # private buffers are race-free, so the caller's thread mode is honored
-    report = run_tasks(tasks, real_threads=real_threads)
-    return MttkrpRun(output=bufs.reduce(), strategy="privatize",
-                     nthreads=nthreads, thread_nnz=thread_nnz,
-                     reduction_flops=bufs.reduction_flops(), report=report,
-                     scatter_backends=_backends_of(report))
-
-
-def _parallel_hicoo_planned(tensor, factors, mode, plan, real_threads):
-    """Execute a mode's MTTKRP from a precomputed plan (no symbolic work).
-
-    The first call for a mode materializes the plan's fused gather arrays
-    (through the tensor's memoized cache); every later call — each CP-ALS
-    iteration — is a pure gather/multiply/scatter numeric pass.
-    """
-    rank = factors[0].shape[1]
-    rows = tensor.shape[mode]
-    mp = plan.for_mode(mode)
-    gathers = plan.ensure_gathers(tensor, mode)
-    _observe_blocks(gathers)
-
-    if mp.strategy == "schedule":
-        out = np.zeros((rows, rank))
-
-        def make_task(tg):
-            def task():
-                return mttkrp_gather_chunk(tg, factors, mode, out,
-                                           row_local=True)
-            return task
-
-        tasks = [make_task(tg) for tg in gathers]
-        report = run_tasks(tasks, real_threads=real_threads)
-        return MttkrpRun(output=out, strategy="schedule",
-                         nthreads=plan.nthreads,
-                         thread_nnz=mp.thread_nnz.copy(),
-                         schedule=mp.schedule, report=report,
-                         scatter_backends=_backends_of(report))
-
-    bufs = PrivateBuffers.allocate(plan.nthreads, rows, rank)
-
-    def make_task(tid, tg):
-        def task():
-            return mttkrp_gather_chunk(tg, factors, mode, bufs.view(tid))
-        return task
-
-    tasks = [make_task(t, tg) for t, tg in enumerate(gathers)]
-    # private buffers are race-free, so the caller's thread mode is honored
-    report = run_tasks(tasks, real_threads=real_threads)
-    return MttkrpRun(output=bufs.reduce(), strategy="privatize",
-                     nthreads=plan.nthreads,
-                     thread_nnz=mp.thread_nnz.copy(),
-                     reduction_flops=bufs.reduction_flops(), report=report,
-                     scatter_backends=_backends_of(report))
-
-
-def _parallel_hicoo_compiled(tensor, factors, mode, nthreads, strategy,
-                             superblock_bits, plan, tier):
-    """Execute one mode's MTTKRP on a compiled tier (numba / cupy).
-
-    Reuses the plan layer end to end: the partition, strategies, and fused
-    gather arrays are exactly the sim/process backends' symbolic state;
-    only the numeric pass changes (one jitted kernel launch / one device
-    segmented reduction instead of per-task NumPy chunks).  Without a plan
-    one is built here — callers that iterate (CP-ALS) pass a plan so the
-    per-mode fused arrays and device uploads are paid once.
-    """
-    from .compiled import mttkrp_compiled, warmup_numba
-    from .plan import plan_mttkrp
-
-    if plan is None:
-        plan = plan_mttkrp(tensor, factors[0].shape[1], nthreads,
-                           superblock_bits=superblock_bits,
-                           strategy=strategy)
-    if tier == "numba":
-        # JIT compilation happens here, outside the kernel span, so the
-        # steady-state numbers never include it (recorded separately in
-        # the compiled.compile_seconds metric)
-        warmup_numba()
-    with trace.span("mttkrp.compiled", mode=mode, tier=tier,
-                    format=tensor.format_name, nthreads=plan.nthreads) as sp:
-        output, flavor, times = mttkrp_compiled(tensor, factors, mode,
-                                                plan, tier)
-        sp.note(flavor=flavor)
-    mp = plan.for_mode(mode)
-    report = ExecutionReport(backend=tier, results=[
-        TaskResult(tid=0, elapsed=times[0], value=flavor)])
-    run = MttkrpRun(output=output, strategy=mp.strategy,
-                    nthreads=plan.nthreads,
-                    thread_nnz=mp.thread_nnz.copy(),
-                    schedule=mp.schedule, report=report,
-                    scatter_backends=(flavor,) if flavor != "noop" else ())
-    _note_parallel(run, tensor, mode, tier)
-    return run
-
-
-def _parallel_hicoo_process(tensor, factors, mode, nthreads, strategy,
-                            superblock_bits, plan, fault_policy=None):
-    """True multicore HiCOO MTTKRP: superblock partitions executed by the
-    shared-memory process pool (see :mod:`repro.parallel.procpool`).
-
-    Under ``fault_policy="degrade"``, an exhausted recovery budget falls
-    back to the in-process backends (``config.fallback_backends``, thread
-    then sim) — same partition, same kernels, so the degraded output is
-    numerically identical; the event is logged, counted
-    (``supervisor.degradations``) and traced.
-    """
-    from ..parallel.procpool import mttkrp_process
-    from ..parallel.supervisor import DegradedExecution
-
-    try:
-        with trace.span("mttkrp.parallel", mode=mode, backend="process",
-                        format=tensor.format_name, nthreads=nthreads) as sp:
-            pr = mttkrp_process(tensor, factors, mode, nthreads,
-                                strategy=strategy,
-                                superblock_bits=superblock_bits, plan=plan,
-                                fault_policy=fault_policy)
-            run = MttkrpRun(output=pr.output, strategy=pr.strategy,
-                            nthreads=pr.nworkers, thread_nnz=pr.thread_nnz,
-                            reduction_flops=pr.reduction_flops,
-                            schedule=pr.schedule, report=pr.report,
-                            scatter_backends=pr.scatter_backends)
-            sp.note(strategy=run.strategy, imbalance=run.load_imbalance())
-    except DegradedExecution as exc:
-        return _degrade_hicoo(tensor, factors, mode, nthreads, strategy,
-                              superblock_bits, plan, exc)
-    _note_parallel(run, tensor, mode, "process")
-    return run
-
-
-def _degrade_hicoo(tensor, factors, mode, nthreads, strategy,
-                   superblock_bits, plan, exc) -> MttkrpRun:
-    """Finish an MTTKRP whose process-backend region gave up, on the first
-    usable fallback backend (the in-process paths share the partition and
-    kernels, so the result matches what the process backend would have
-    produced)."""
-    from ..util.log import get_logger
-
-    fallbacks = exc.config.fallback_backends or ("sim",)
-    backend = next((b for b in fallbacks if b in ("thread", "sim")), "sim")
-    get_logger("repro.supervisor").warning(
-        "process backend degraded to %r for mode %d: %s", backend, mode, exc)
-    metrics.inc("supervisor.degradations")
-    trace.instant("supervisor.degrade", mode=mode, fallback=backend,
-                  reason=str(exc))
-    real_threads = backend == "thread"
-    with trace.span("mttkrp.parallel", mode=mode, backend=backend,
-                    format=tensor.format_name, nthreads=nthreads,
-                    degraded=True) as sp:
-        if plan is not None:
-            run = _parallel_hicoo_planned(tensor, factors, mode, plan,
-                                          real_threads)
-        else:
-            run = _parallel_hicoo(tensor, factors, mode, nthreads, strategy,
-                                  superblock_bits, real_threads)
-        sp.note(strategy=run.strategy, imbalance=run.load_imbalance())
-    _note_parallel(run, tensor, mode, backend)
-    return run
-
-
-# ----------------------------------------------------------------------
-# ALTO
-# ----------------------------------------------------------------------
-def _slice_gather(tg, lo: int, hi: int):
-    """Contiguous slice of a mode view as a task-sized :class:`TaskGather`.
-
-    The arrays are views (no copy); the parent's sortedness flags carry
-    over (a slice of a sorted column is sorted — only the target-mode flag,
-    which is always ``True`` for a mode view, affects the scatter choice).
-    """
-    from .gather import TaskGather
-
-    return TaskGather(runs=((lo, hi),), ginds=tg.ginds[lo:hi],
-                      values=tg.values[lo:hi], sorted_modes=tg.sorted_modes)
-
-
-def _parallel_alto(tensor, factors, mode, nthreads, strategy,
-                   real_threads=False, exec_backend=None):
-    """Parallel MTTKRP over ALTO's linearized keys.
-
-    * ``"schedule"`` — the load-balanced default: the mode view (nonzeros
-      ordered by output row, ties in source order) is cut into equal-nnz
-      contiguous ranges on row-segment boundaries, so tasks own disjoint
-      output rows and share the output lock-free.  Per-row accumulation
-      order is independent of the partition, which keeps every task count
-      **bit-identical** to the sequential COO oracle.
-    * ``"privatize"`` — equal-nnz chunks of the raw key order into private
-      buffers plus one reduction (reassociates row sums; ULP-close only).
-
-    ``exec_backend="numba"`` routes the scatters through the compiled tier
-    (same tasks, jitted scatter-adds past the crossover).
-    """
-    if strategy == "auto":
-        strategy = "schedule"
-    if strategy not in ("schedule", "privatize"):
-        raise ValueError(
-            f"ALTO supports 'schedule' or 'privatize', got {strategy!r}")
-    rank = factors[0].shape[1]
-    rows = tensor.shape[mode]
-    scatter_backend = exec_backend if exec_backend == "numba" else None
-
-    if strategy == "schedule":
-        part = tensor.schedule(mode, nthreads)
-        view = tensor.mode_view(mode)
-        gathers = [_slice_gather(view, lo, hi) for lo, hi in part.ranges]
-        _observe_blocks(gathers)
-        out = np.zeros((rows, rank))
-
-        def make_task(tg):
-            def task():
-                return mttkrp_gather_chunk(tg, factors, mode, out,
-                                           row_local=True,
-                                           backend=scatter_backend,
-                                           scatter="seq")
-            return task
-
-        tasks = [make_task(tg) for tg in gathers]
-        report = run_tasks(tasks, real_threads=real_threads,
-                           backend=exec_backend)
-        return MttkrpRun(output=out, strategy="schedule", nthreads=nthreads,
-                         thread_nnz=part.thread_nnz.copy(), report=report,
-                         scatter_backends=_backends_of(report))
-
-    # privatize: equal-nnz chunks of the linearized order, private buffers
-    view = tensor.linear_view()
-    ranges = balanced_ranges(np.ones(tensor.nnz), nthreads)
-    thread_nnz = np.array([hi - lo for lo, hi in ranges], dtype=np.int64)
-    gathers = [_slice_gather(view, lo, hi) for lo, hi in ranges]
-    _observe_blocks(gathers)
-    bufs = PrivateBuffers.allocate(nthreads, rows, rank)
-
-    def make_task(tid, tg):
-        def task():
-            return mttkrp_gather_chunk(tg, factors, mode, bufs.view(tid),
-                                       backend=scatter_backend,
-                                       scatter="seq")
-        return task
-
-    tasks = [make_task(t, tg) for t, tg in enumerate(gathers)]
-    # private buffers are race-free, so the caller's thread mode is honored
-    report = run_tasks(tasks, real_threads=real_threads,
-                       backend=exec_backend)
-    return MttkrpRun(output=bufs.reduce(), strategy="privatize",
-                     nthreads=nthreads, thread_nnz=thread_nnz,
-                     reduction_flops=bufs.reduction_flops(), report=report,
-                     scatter_backends=_backends_of(report))
-
-
-def _parallel_alto_process(tensor, factors, mode, nthreads, strategy,
-                           fault_policy=None):
-    """True multicore ALTO MTTKRP: the equal-nnz row-disjoint partition
-    executed by the shared-memory process pool (see
-    :func:`repro.parallel.procpool.mttkrp_process_alto`).
-
-    Same degrade contract as the HiCOO path: an exhausted recovery budget
-    under ``fault_policy="degrade"`` re-runs the region in process on the
-    schedule strategy — identical partition and kernels, so the degraded
-    output is bit-identical.
-    """
-    from ..parallel.procpool import mttkrp_process_alto
-    from ..parallel.supervisor import DegradedExecution
-
-    try:
-        with trace.span("mttkrp.parallel", mode=mode, backend="process",
-                        format=tensor.format_name, nthreads=nthreads) as sp:
-            pr = mttkrp_process_alto(tensor, factors, mode, nthreads,
-                                     strategy=strategy,
-                                     fault_policy=fault_policy)
-            run = MttkrpRun(output=pr.output, strategy=pr.strategy,
-                            nthreads=pr.nworkers, thread_nnz=pr.thread_nnz,
-                            reduction_flops=pr.reduction_flops,
-                            schedule=pr.schedule, report=pr.report,
-                            scatter_backends=pr.scatter_backends)
-            sp.note(strategy=run.strategy, imbalance=run.load_imbalance())
-    except DegradedExecution as exc:
-        return _degrade_alto(tensor, factors, mode, nthreads, strategy, exc)
-    _note_parallel(run, tensor, mode, "process")
-    return run
-
-
-def _degrade_alto(tensor, factors, mode, nthreads, strategy, exc) -> MttkrpRun:
-    """Finish an ALTO MTTKRP whose process region gave up, on the first
-    usable in-process fallback (same partition, same kernels — the result
-    matches what the process backend would have produced)."""
-    from ..util.log import get_logger
-
-    fallbacks = exc.config.fallback_backends or ("sim",)
-    backend = next((b for b in fallbacks if b in ("thread", "sim")), "sim")
-    get_logger("repro.supervisor").warning(
-        "process backend degraded to %r for mode %d: %s", backend, mode, exc)
-    metrics.inc("supervisor.degradations")
-    trace.instant("supervisor.degrade", mode=mode, fallback=backend,
-                  reason=str(exc))
-    with trace.span("mttkrp.parallel", mode=mode, backend=backend,
-                    format=tensor.format_name, nthreads=nthreads,
-                    degraded=True) as sp:
-        run = _parallel_alto(tensor, factors, mode, nthreads, strategy,
-                             real_threads=(backend == "thread"))
-        sp.note(strategy=run.strategy, imbalance=run.load_imbalance())
-    _note_parallel(run, tensor, mode, backend)
-    return run
-
-
-# ----------------------------------------------------------------------
-# CSF
-# ----------------------------------------------------------------------
-def _parallel_csf(tensor, factors, mode, nthreads, strategy, real_threads):
-    if strategy == "auto":
-        strategy = "subtree"
-    if strategy not in ("subtree", "privatize"):
-        raise ValueError(f"CSF supports 'subtree' or 'privatize', got {strategy!r}")
-    rank = factors[0].shape[1]
-    rows = tensor.shape[mode]
-
-    # weight of each root subtree = its leaf count
-    subtree_nnz = _root_subtree_nnz(tensor)
-    ranges = balanced_ranges(subtree_nnz, nthreads)
-    thread_nnz = np.array(
-        [int(subtree_nnz[lo:hi].sum()) for lo, hi in ranges], dtype=np.int64)
-
-    root_is_target = tensor.mode_order[0] == mode
-    shared = root_is_target and strategy == "subtree"
-    out = np.zeros((rows, rank))
-    bufs = None if shared else PrivateBuffers.allocate(nthreads, rows, rank)
-
-    def make_task(tid, lo, hi):
-        def task():
-            if lo >= hi:
-                return "noop"
-            target = out if shared else bufs.view(tid)
-            return _csf_subtree_mttkrp(tensor, factors, mode, lo, hi, target,
-                                       row_local=shared)
-        return task
-
-    tasks = [make_task(t, lo, hi) for t, (lo, hi) in enumerate(ranges)]
-    # subtree writes are row-disjoint (root mode) and privatized buffers are
-    # race-free, so real threads are safe either way
-    report = run_tasks(tasks, real_threads=real_threads)
-    if not shared:
-        out = bufs.reduce()
-    return MttkrpRun(
-        output=out,
-        strategy="subtree" if shared else "privatize",
-        nthreads=nthreads,
-        thread_nnz=thread_nnz,
-        reduction_flops=bufs.reduction_flops() if bufs else 0,
-        report=report,
-        scatter_backends=_backends_of(report),
-    )
-
-
-def _root_subtree_nnz(tensor: CsfTensor) -> np.ndarray:
-    """Leaf (nonzero) count under each root node."""
-    counts = np.ones(tensor.levels[-1].nnodes, dtype=np.int64)
-    for depth in range(len(tensor.levels) - 1, 0, -1):
-        parent = tensor.levels[depth].parent
-        up = np.zeros(tensor.levels[depth - 1].nnodes, dtype=np.int64)
-        # fiber-tree nodes are stored parent-major, so parent is sorted
-        scatter_add(up, parent, counts, presorted=True)
-        counts = up
-    return counts
-
-
-def _csf_subtree_mttkrp(tensor, factors, mode, root_lo, root_hi, out,
-                        row_local=False):
-    """Run the two-pass tree MTTKRP restricted to root nodes [lo, hi).
-
-    Returns the scatter backend of the final output scatter.  ``row_local``
-    must be set when ``out`` is shared between concurrent subtree tasks
-    (root-mode target): the tasks' fids are disjoint, so row-local scatter
-    backends are race-free.
-    """
-    nmodes = tensor.nmodes
-    depth_of_mode = tensor.mode_order.index(mode)
-    # per-level node ranges covered by the root slice
-    los, his = [root_lo], [root_hi]
-    for depth in range(1, nmodes):
-        fptr = tensor.levels[depth - 1].fptr
-        los.append(int(fptr[los[-1]]))
-        his.append(int(fptr[his[-1]]))
-
-    values = tensor.values[los[-1]:his[-1]]
-    below = values[:, None]
-    rank = out.shape[1]
-    for depth in range(nmodes - 1, depth_of_mode, -1):
-        level = tensor.levels[depth]
-        lo, hi = los[depth], his[depth]
-        factor = factors[tensor.mode_order[depth]]
-        contrib = below * factor[level.fids[lo:hi]]
-        plo, phi = los[depth - 1], his[depth - 1]
-        agg = np.zeros((phi - plo, rank))
-        # nodes are stored parent-major: parent ids are non-decreasing
-        scatter_add(agg, level.parent[lo:hi] - plo, contrib, presorted=True)
-        below = agg
-
-    above = np.ones((his[0] - los[0], rank))
-    for depth in range(1, depth_of_mode + 1):
-        level = tensor.levels[depth]
-        prev = tensor.levels[depth - 1]
-        lo, hi = los[depth], his[depth]
-        plo = los[depth - 1]
-        parent = level.parent[lo:hi] - plo
-        factor = factors[tensor.mode_order[depth - 1]]
-        above = above[parent] * factor[prev.fids[los[depth - 1]:his[depth - 1]]][parent]
-
-    target = tensor.levels[depth_of_mode]
-    lo, hi = los[depth_of_mode], his[depth_of_mode]
-    return scatter_add(out, target.fids[lo:hi], above * below,
-                       row_local=row_local)

@@ -1,164 +1,167 @@
-"""Precomputed parallel-MTTKRP plans for HiCOO.
+"""Lowered parallel-MTTKRP plans for every format.
 
-A CP-ALS run issues the same N MTTKRPs every iteration; rebuilding the
-superblock index, strategy choice, and lock-free schedule each time wastes
-the symbolic work the paper explicitly amortizes ("construction cost is
-paid once").  A :class:`MttkrpPlan` captures all of it — one superblock
-index plus a per-mode strategy/schedule — and is reused across iterations
-(and across CP-ALS restarts, which share the tensor).
+Neither of the paper's parallel strategies depends on the storage format:
+the lock-free schedule needs tasks that own disjoint output rows, and
+privatization needs nothing but a private buffer per task.  So each format
+*lowers* a mode's MTTKRP to the same shape (the taco format abstraction,
+arXiv:1804.10112, without a code generator): a :class:`ModePlan` holding one
+:class:`~repro.kernels.gather.TaskGather` per task plus the strategy that
+says how the tasks may share the output.  One executor,
+:func:`repro.kernels.mttkrp.execute`, runs every lowered mode on every
+backend.
 
-Since the gather/scatter layer (:mod:`repro.kernels.gather`) the plan also
-caches the **fused gather arrays** of every thread task: the int64
-``(bind << b) + eind`` coordinates, task-ordered values, and per-mode
-sortedness flags.  Thread tasks are stored as coalesced block *runs*
-(``(lo, hi)`` slices), so plan construction is O(superblocks), not
-O(blocks); the gather arrays themselves are built lazily on first execution
-through :meth:`repro.core.hicoo.HicooTensor.task_gather` — which memoizes
-them on the tensor, so plans over the same tensor share the arrays.
+==========  ============================================================
+format      lowering (``lower_mode``)
+==========  ============================================================
+hicoo       superblock groups of the lock-free schedule (``schedule``) or
+            contiguous superblock ranges (``privatize``); block runs
+            materialized through the memoized ``task_gather``
+alto        equal-nnz row-disjoint slices of the mode view (``schedule``)
+            or equal-nnz slices of the key order (``privatize``); pins the
+            sequential scatter (``scatter="seq"``)
+csf         root subtrees of the level-iterated coordinates; row-disjoint
+            (``subtree``) only when the target mode is the tree root
+coo         equal-nnz slices (``privatize``, or ``atomic`` into a shared
+            output, one task at a time)
+==========  ============================================================
+
+A CP-ALS run issues the same N MTTKRPs every iteration, so a
+:class:`MttkrpPlan` lowers every mode once and is reused across
+iterations, CP-ALS restarts and served requests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.hicoo import HicooTensor
-from ..core.scheduler import Schedule, choose_strategy, schedule_mode
-from ..core.superblock import SuperblockIndex, build_superblocks
 from ..obs import metrics
-from ..parallel.partition import balanced_ranges
-from .gather import TaskGather, coalesce_runs
+from .gather import TaskGather
 
-__all__ = ["ModePlan", "MttkrpPlan", "plan_mttkrp"]
+__all__ = ["STRATEGIES", "ModePlan", "MttkrpPlan", "plan_mttkrp"]
+
+#: every strategy name a lowering accepts (each format accepts a subset)
+STRATEGIES = ("auto", "schedule", "subtree", "privatize", "atomic")
 
 
 @dataclass
 class ModePlan:
-    """Parallel execution recipe for one MTTKRP mode."""
+    """One lowered MTTKRP mode: the tasks and how they share the output."""
 
     mode: int
-    strategy: str  # "schedule" | "privatize"
-    #: per-thread coalesced block runs (both strategies): task t owns the
-    #: nonzeros of blocks ``[lo, hi)`` for every run in ``thread_runs[t]``
-    thread_runs: List[List[Tuple[int, int]]] = field(default_factory=list)
-    schedule: Optional[Schedule] = None
-    #: privatize strategy: per-thread contiguous superblock ranges
-    superblock_ranges: Optional[List[Tuple[int, int]]] = None
-    thread_nnz: Optional[np.ndarray] = None
-    #: lazily-filled fused gather cache, one TaskGather per thread task
-    gathers: Optional[List[TaskGather]] = None
-    #: compiled-tier state cached per mode: the concatenated kernel-ready
-    #: arrays ("fused") and, for the GPU tier, the device arena ("arena") —
-    #: built once per plan and reused by every CP-ALS iteration (see
-    #: :mod:`repro.kernels.compiled`)
+    #: "schedule" / "subtree" (tasks own disjoint output rows), "privatize"
+    #: (private buffers plus a reduction) or "atomic" (shared output,
+    #: overlapping rows)
+    strategy: str
+    #: one fused gather per task, in task order
+    gathers: List[TaskGather]
+    thread_nnz: np.ndarray
+    #: identifies the gathers' content on their tensor: the process backend
+    #: shares a mode's arrays once per key, so re-lowering the same mode
+    #: (an unplanned call) re-shares nothing
+    key: tuple
+    #: the HiCOO lock-free schedule behind a "schedule" lowering
+    schedule: Optional[object] = None
+    #: the HiCOO superblock index the lowering partitioned
+    superblocks: Optional[object] = None
+    #: scatter contract: "auto" (adaptive ladder, any compiled tier) or
+    #: "seq" (ALTO's bitwise left-to-right rule)
+    scatter: str = "auto"
+    #: compiled-tier state, built once per plan: the concatenated
+    #: kernel-ready arrays ("fused") and the GPU device arena ("arena")
     compiled: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_ranges(cls, mode: int, strategy: str, ginds: np.ndarray,
+                    values: np.ndarray, ranges: Sequence[Tuple[int, int]],
+                    key: tuple, scatter: str = "auto") -> "ModePlan":
+        """Lower contiguous nonzero slices ``ranges`` of one traversal
+        (``ginds``/``values`` in traversal order) to one task each; the
+        slices are views, and ``runs`` records each task's slice."""
+        ranges = tuple((int(lo), int(hi)) for lo, hi in ranges)
+        return cls(mode=mode, strategy=strategy,
+                   gathers=[TaskGather.of(ginds[lo:hi], values[lo:hi],
+                                          runs=((lo, hi),))
+                            for lo, hi in ranges],
+                   thread_nnz=np.array([hi - lo for lo, hi in ranges],
+                                       dtype=np.int64),
+                   key=key + (ranges,), scatter=scatter)
+
+    @property
+    def nthreads(self) -> int:
+        return len(self.gathers)
+
+    @property
+    def row_disjoint(self) -> bool:
+        """Whether concurrent tasks may write one shared output."""
+        return self.strategy in ("schedule", "subtree")
 
     @property
     def thread_blocks(self) -> List[List[int]]:
-        """Per-thread flat block-id lists, expanded from ``thread_runs``
-        (compatibility/inspection view; execution uses the runs)."""
-        return [[b for lo, hi in runs for b in range(lo, hi)]
-                for runs in self.thread_runs]
+        """Per-task flat unit ids expanded from the gathers' runs (HiCOO:
+        block ids; inspection view, execution uses the gathers)."""
+        return [[b for lo, hi in tg.runs for b in range(lo, hi)]
+                for tg in self.gathers]
 
 
 @dataclass
 class MttkrpPlan:
-    """All symbolic parallel state for one (tensor, rank, nthreads)."""
+    """Every mode of one (tensor, rank, nthreads), lowered once."""
 
     nthreads: int
     rank: int
-    superblock_bits: int
-    superblocks: SuperblockIndex
     modes: List[ModePlan]
 
     def for_mode(self, mode: int) -> ModePlan:
         return self.modes[mode]
 
-    def ensure_gathers(self, tensor: HicooTensor,
-                       mode: Optional[int] = None) -> List[TaskGather]:
-        """Fill (and return) the fused gather cache for ``mode``.
+    @property
+    def superblocks(self):
+        """The HiCOO superblock index (``None`` for other formats)."""
+        return self.modes[0].superblocks if self.modes else None
 
-        The arrays come from :meth:`HicooTensor.task_gather`, so tasks that
-        recur across modes (privatize ranges are mode-independent) and
-        across plans of the same tensor share one copy.  With ``mode=None``
-        every mode is materialized (useful to pre-pay all symbolic cost
-        before a timed region).
+    def ensure_gathers(self, tensor=None,
+                       mode: Optional[int] = None) -> List[TaskGather]:
+        """The gathers of ``mode`` (every mode for ``None``).
+
+        Lowering materializes them, so this only reports the reuse: a warm
+        plan serving its arrays is a hit of the gather layer.  ``tensor``
+        is accepted for symmetry with the lowering and ignored.
         """
-        if mode is None:
-            for m in range(len(self.modes)):
-                self.ensure_gathers(tensor, m)
-            return [tg for mp in self.modes for tg in mp.gathers]
-        mp = self.modes[mode]
-        if mp.gathers is None:
-            mp.gathers = [tensor.task_gather(runs) for runs in mp.thread_runs]
-        else:
-            # a warm plan reusing its materialized arrays is a hit of the
-            # gather layer, even though the tensor-level dict isn't probed
-            metrics.inc("gather.cache_hits", len(mp.gathers))
-        return mp.gathers
+        modes = self.modes if mode is None else [self.modes[mode]]
+        gathers = [tg for mp in modes for tg in mp.gathers]
+        metrics.inc("gather.cache_hits", len(gathers))
+        return gathers
 
     def gather_cache_bytes(self) -> int:
-        """Footprint of the materialized gather arrays (0 until executed)."""
+        """Footprint of the plan's gather arrays (shared arrays once)."""
         seen, total = set(), 0
         for mp in self.modes:
-            for tg in mp.gathers or ():
+            for tg in mp.gathers:
                 if id(tg) not in seen:
                     seen.add(id(tg))
                     total += tg.nbytes()
         return total
 
 
-def plan_mttkrp(tensor: HicooTensor, rank: int, nthreads: int,
+def plan_mttkrp(tensor, rank: int, nthreads: int,
                 superblock_bits: Optional[int] = None,
                 strategy: str = "auto") -> MttkrpPlan:
-    """Build the reusable parallel plan for every mode of ``tensor``.
+    """Lower every mode of ``tensor`` (any format) for ``nthreads`` tasks.
 
     ``strategy`` forces one strategy for all modes, or ``"auto"`` applies
-    the paper's per-mode heuristic.
+    the format's default (the paper's per-mode heuristic for HiCOO).
+    ``superblock_bits`` applies to HiCOO only.
     """
-    if not isinstance(tensor, HicooTensor):
-        raise TypeError(f"plans are HiCOO-specific, got {type(tensor).__name__}")
     if rank < 1:
         raise ValueError(f"rank must be positive, got {rank}")
     if nthreads < 1:
         raise ValueError(f"nthreads must be positive, got {nthreads}")
-    if strategy not in ("auto", "schedule", "privatize"):
+    if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
-    sb_bits = superblock_bits if superblock_bits is not None else min(
-        tensor.block_bits + 3, 20)
-    sbs = build_superblocks(tensor, sb_bits)
-
-    modes: List[ModePlan] = []
-    for mode in range(tensor.nmodes):
-        strat = strategy
-        if strat == "auto":
-            strat = choose_strategy(sbs, mode, nthreads,
-                                    tensor.shape[mode], rank)
-        if strat == "schedule":
-            sched = schedule_mode(sbs, mode, nthreads)
-            thread_runs = [
-                coalesce_runs([sbs.block_range(sb) for sb in sb_list])
-                for sb_list in sched.assignment
-            ]
-            modes.append(ModePlan(mode=mode, strategy="schedule",
-                                  thread_runs=thread_runs,
-                                  schedule=sched,
-                                  thread_nnz=sched.thread_nnz.copy()))
-        else:
-            ranges = balanced_ranges(sbs.nnz_per_superblock, nthreads)
-            thread_runs = [
-                coalesce_runs([(int(sbs.sptr[lo]), int(sbs.sptr[hi]))])
-                if lo < hi else []
-                for lo, hi in ranges
-            ]
-            thread_nnz = np.array(
-                [int(sbs.nnz_per_superblock[lo:hi].sum())
-                 for lo, hi in ranges], dtype=np.int64)
-            modes.append(ModePlan(mode=mode, strategy="privatize",
-                                  thread_runs=thread_runs,
-                                  superblock_ranges=ranges,
-                                  thread_nnz=thread_nnz))
-    return MttkrpPlan(nthreads=nthreads, rank=rank,
-                      superblock_bits=sb_bits, superblocks=sbs, modes=modes)
+    modes = [tensor.lower_mode(mode, nthreads, strategy, superblock_bits,
+                               rank=rank)
+             for mode in range(tensor.nmodes)]
+    return MttkrpPlan(nthreads=nthreads, rank=rank, modes=modes)

@@ -1,16 +1,20 @@
 """True multicore MTTKRP: a shared-memory process backend.
 
-The GIL caps what the thread backend can overlap, so this module runs
-superblock task partitions in worker *processes*:
+The GIL caps what the thread backend can overlap, so this module runs the
+tasks of a lowered MTTKRP mode (:class:`repro.kernels.plan.ModePlan`, any
+format) in worker *processes*:
 
-* the HiCOO structure arrays (``bptr``, ``binds``, ``einds``, ``values``)
-  and the dense factor matrices live in ``multiprocessing.shared_memory``
-  segments, placed once per tensor and mapped zero-copy by every worker;
-* each worker computes its scheduler-assigned superblock group straight
-  into the shared mode-``m`` output — safe without locks because the
-  lock-free schedule guarantees the groups write disjoint output rows;
-* the privatized fallback (non-row-disjoint partitions) gives each worker
-  a private slab of one shared buffer and the parent reduces the slabs;
+* each lowered mode's fused task arrays (``task_ptr``, ``ginds``,
+  ``values`` and the per-task sortedness flags of
+  :class:`repro.kernels.compiled.FusedTasks`) and the dense factor
+  matrices live in ``multiprocessing.shared_memory`` segments, placed once
+  per tensor and mode partition and mapped zero-copy by every worker,
+  which slices its task back out;
+* row-disjoint tasks (the lock-free schedule, ALTO's row segments, CSF
+  root subtrees) compute straight into the shared mode-``m`` output — safe
+  without locks because they write disjoint output rows;
+* privatized tasks each get a private slab of one shared buffer and the
+  parent reduces the slabs;
 * workers are reused across calls (a warm pool keyed by worker count), so
   CP-ALS pays process start-up once per run, not once per iteration;
 * per-task spans and counters measured inside the workers are shipped back
@@ -32,11 +36,10 @@ import os
 import threading
 import time
 import traceback
-import uuid
 import weakref
 import multiprocessing as mp
-from dataclasses import dataclass, field
-from multiprocessing import shared_memory
+from dataclasses import dataclass
+from multiprocessing import resource_tracker, shared_memory
 from multiprocessing.connection import wait as _conn_wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -47,14 +50,12 @@ from .executor import ExecutionReport, TaskResult
 
 __all__ = [
     "ShmArraySpec",
-    "SharedTensorHandle",
     "SharedMttkrpSession",
     "ProcPool",
     "WorkerTaskError",
     "get_pool",
     "shutdown_pools",
-    "mttkrp_process",
-    "mttkrp_process_alto",
+    "session_for",
     "release_shared",
     "run_generic_tasks",
     "default_start_method",
@@ -63,9 +64,6 @@ __all__ = [
 #: per-collect timeout (seconds); prevents a hung worker from deadlocking
 #: CI.  Override with the REPRO_PROC_TIMEOUT environment variable.
 DEFAULT_TIMEOUT = float(os.environ.get("REPRO_PROC_TIMEOUT", "120"))
-
-#: workers cap their symbolic gather cache at this many entries
-_WORKER_GATHER_CACHE_CAP = 256
 
 
 def default_start_method() -> str:
@@ -93,21 +91,6 @@ class ShmArraySpec:
     @property
     def nbytes(self) -> int:
         return int(np.prod(self.shape, dtype=np.int64)) * np.dtype(self.dtype).itemsize
-
-
-def _untrack(shm: shared_memory.SharedMemory) -> None:
-    """Detach ``shm`` from this process's resource tracker.
-
-    Attaching registers the segment with the tracker, which would warn about
-    (or even unlink) segments the *parent* owns when a worker exits.  The
-    parent arena is the single owner responsible for unlinking.
-    """
-    try:  # pragma: no cover - depends on CPython internals, best effort
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:
-        pass
 
 
 class ShmArena:
@@ -160,38 +143,6 @@ class ShmArena:
         self._segments.clear()
 
 
-@dataclass(frozen=True)
-class SharedTensorHandle:
-    """Picklable handle to a HiCOO structure placed in shared memory.
-
-    ``key`` is unique per session; workers use it to key their symbolic
-    gather caches, so a re-shared tensor never aliases stale entries.
-    """
-
-    key: str
-    block_bits: int
-    shape: Tuple[int, ...]
-    bptr: ShmArraySpec
-    binds: ShmArraySpec
-    einds: ShmArraySpec
-    values: ShmArraySpec
-
-
-class _TensorView:
-    """Worker-side zero-copy view satisfying the duck-typed HiCOO attribute
-    contract of :func:`repro.kernels.gather.build_task_gather`."""
-
-    __slots__ = ("bptr", "binds", "einds", "values", "block_bits", "shape")
-
-    def __init__(self, handle: SharedTensorHandle, attach) -> None:
-        self.bptr = attach(handle.bptr)
-        self.binds = attach(handle.binds)
-        self.einds = attach(handle.einds)
-        self.values = attach(handle.values)
-        self.block_bits = handle.block_bits
-        self.shape = handle.shape
-
-
 # ----------------------------------------------------------------------
 # worker process
 # ----------------------------------------------------------------------
@@ -213,12 +164,10 @@ def _worker_main(conn, worker_id: int) -> None:
     metrics.reset()
     metrics.enable()
 
-    from ..kernels.gather import build_task_gather, mttkrp_gather_chunk
+    from ..kernels.gather import TaskGather, mttkrp_gather_chunk
 
     shm_cache: Dict[str, shared_memory.SharedMemory] = {}
     array_cache: Dict[ShmArraySpec, np.ndarray] = {}
-    tensor_cache: Dict[str, _TensorView] = {}
-    gather_cache: Dict[tuple, object] = {}
     chaos_state = None  # ChaosState once a ("chaos", plan) message arrives
     task_seq = 0  # compute tasks executed by this worker slot (1-based)
     # shipped-metrics watermark: deltas are computed at reply-send time, so
@@ -231,28 +180,19 @@ def _worker_main(conn, worker_id: int) -> None:
         if arr is None:
             shm = shm_cache.get(spec.name)
             if shm is None:
-                shm = shared_memory.SharedMemory(name=spec.name)
-                _untrack(shm)
-                shm_cache[spec.name] = shm
+                shm = shm_cache[spec.name] = shared_memory.SharedMemory(
+                    name=spec.name)
             arr = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype),
                              buffer=shm.buf, offset=spec.offset)
             array_cache[spec] = arr
         return arr
 
-    def tensor_view(handle: SharedTensorHandle) -> _TensorView:
-        tv = tensor_cache.get(handle.key)
-        if tv is None:
-            tv = tensor_cache[handle.key] = _TensorView(handle, attach)
-        return tv
-
-    def gather_for(tv: _TensorView, key: str, runs: tuple):
-        ck = (key, runs)
-        tg = gather_cache.get(ck)
-        if tg is None:
-            if len(gather_cache) >= _WORKER_GATHER_CACHE_CAP:
-                gather_cache.clear()
-            tg = gather_cache[ck] = build_task_gather(tv, runs)
-        return tg
+    def task_of(task_specs, t: int) -> TaskGather:
+        """Task ``t`` sliced out of a mode's shared fused arrays."""
+        task_ptr, ginds, values, sorted_modes = map(attach, task_specs)
+        lo, hi = task_ptr[t], task_ptr[t + 1]
+        return TaskGather(runs=(), ginds=ginds[lo:hi], values=values[lo:hi],
+                          sorted_modes=sorted_modes[t])
 
     while True:
         try:
@@ -289,17 +229,16 @@ def _worker_main(conn, worker_id: int) -> None:
                     # sleep ends and the worker is terminated mid-nap
                     time.sleep(directive.seconds)
             if kind == "mttkrp":
-                (_, _, handle, factor_specs, mode, runs,
+                (_, _, task_specs, factor_specs, mode,
                  out_spec, row_local, scatter, want_trace, reset) = msg
                 if want_trace:
                     trace.enable(clear=True)
                 t0 = time.perf_counter()
                 with trace.span("procpool.task", worker=worker_id,
                                 mode=mode, pid=os.getpid()):
-                    tv = tensor_view(handle)
                     factors = [attach(s) for s in factor_specs]
                     out = attach(out_spec)
-                    tg = gather_for(tv, handle.key, tuple(runs))
+                    tg = task_of(task_specs, task_id)
                     if reset:
                         # a retried task re-runs idempotently: zero what it
                         # owns first.  Row-local tasks own exactly the rows
@@ -415,6 +354,12 @@ class ProcPool:
         metrics.inc("procpool.workers_started", nworkers)
 
     def _spawn(self, wid: int):
+        # start the resource tracker before forking so every worker shares
+        # the parent's: a worker attaching a segment re-registers a name
+        # the tracker already holds (a no-op), and the parent's unlink is
+        # the only unregistration.  A worker with a tracker of its own
+        # would unlink the parent's segments when it exits.
+        resource_tracker.ensure_running()
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(target=_worker_main, args=(child_conn, wid),
                                  daemon=True, name=f"repro-procpool-{wid}")
@@ -619,12 +564,16 @@ _LIVE_SESSIONS: "weakref.WeakSet" = weakref.WeakSet()
 
 
 class SharedMttkrpSession:
-    """Shared-memory residency of one HiCOO tensor plus its dense operands.
+    """Shared-memory residency of one tensor's lowered modes plus its dense
+    operands.
 
-    Created once per (tensor, nworkers) and cached on the tensor; the
-    structure arrays are copied into shared segments a single time, factor
-    slots are rewritten in place every call (a memcpy, no pickling), and the
-    output/privatized slabs are recycled across modes and iterations.
+    Created once per (tensor, nworkers) and cached on the tensor; each
+    lowered mode's fused task arrays are copied into shared segments once
+    per :attr:`ModePlan.key <repro.kernels.plan.ModePlan.key>` (so an
+    unplanned call that re-lowers the same partition re-shares nothing),
+    factor slots are rewritten in place every call (a memcpy, no
+    pickling), and the output/privatized slabs are recycled across modes
+    and iterations.
 
     **Ownership.** The factor slots and output/privatized slabs are
     single-occupancy, so concurrent callers (the serve daemon's executor
@@ -639,17 +588,9 @@ class SharedMttkrpSession:
     def __init__(self, tensor, nworkers: int) -> None:
         self.nworkers = nworkers
         self.arena = ShmArena()
-        self.key = uuid.uuid4().hex
         self.shape = tuple(tensor.shape)
-        self.handle = SharedTensorHandle(
-            key=self.key,
-            block_bits=tensor.block_bits,
-            shape=self.shape,
-            bptr=self.arena.share(tensor.bptr),
-            binds=self.arena.share(tensor.binds),
-            einds=self.arena.share(tensor.einds),
-            values=self.arena.share(tensor.values),
-        )
+        #: ModePlan.key -> specs of (task_ptr, ginds, values, sorted_modes)
+        self._tasks: Dict[tuple, Tuple[ShmArraySpec, ...]] = {}
         self.rank: Optional[int] = None
         self.factor_specs: List[ShmArraySpec] = []
         self._out_spec: Optional[ShmArraySpec] = None
@@ -699,17 +640,33 @@ class SharedMttkrpSession:
             pairs.append((spec, self.arena.view(spec)))
         return pairs
 
+    def _task_specs(self, mode_plan) -> Tuple[ShmArraySpec, ...]:
+        """Shared copies of the mode's fused task arrays (once per key)."""
+        specs = self._tasks.get(mode_plan.key)
+        if specs is not None:
+            metrics.inc("procpool.task_reuses")
+            return specs
+        from ..kernels.compiled import build_fused_tasks
+
+        fused = mode_plan.compiled.get("fused") or build_fused_tasks(
+            mode_plan.gathers, mode_plan.row_disjoint)
+        specs = tuple(self.arena.share(a) for a in fused.arrays())
+        self._tasks[mode_plan.key] = specs
+        metrics.inc("procpool.task_shares")
+        metrics.set_gauge("procpool.shared_bytes", self.arena.total_bytes())
+        return specs
+
     # -- execution -----------------------------------------------------
     def run_mode(self, pool: ProcPool, factors: Sequence[np.ndarray],
-                 mode: int, thread_runs, strategy: str,
-                 timeout: Optional[float] = None, fault_config=None,
-                 scatter: str = "auto"):
-        """One parallel MTTKRP over pre-partitioned block runs.
+                 mode_plan, timeout: Optional[float] = None,
+                 fault_config=None):
+        """One parallel MTTKRP of a lowered mode; task ``t`` runs on worker
+        ``t`` (the plan has one task per worker).
 
-        Returns ``(output, report, backends)`` where ``output`` is an owned
-        (non-shared) array, ``report`` an :class:`ExecutionReport` built
-        from worker-measured task times, and ``backends`` the deduplicated
-        scatter backends the workers used.
+        Returns ``(output, report)`` where ``output`` is an owned
+        (non-shared) array and ``report`` an :class:`ExecutionReport` built
+        from worker-measured task times (task values are the scatter
+        backends the workers used).
 
         ``fault_config`` is a resolved
         :class:`repro.parallel.supervisor.FaultConfig`; with a ``retry`` or
@@ -726,21 +683,20 @@ class SharedMttkrpSession:
         self.acquire()
         try:
             with self._exec_lock, pool.region_lock:
-                return self._run_mode_locked(
-                    pool, factors, mode, thread_runs, strategy,
-                    timeout=timeout, fault_config=fault_config,
-                    scatter=scatter)
+                return self._run_mode_locked(pool, factors, mode_plan,
+                                             timeout=timeout,
+                                             fault_config=fault_config)
         finally:
             self.release()
 
     def _run_mode_locked(self, pool: ProcPool,
-                         factors: Sequence[np.ndarray],
-                         mode: int, thread_runs, strategy: str,
-                         timeout: Optional[float] = None, fault_config=None,
-                         scatter: str = "auto"):
+                         factors: Sequence[np.ndarray], mode_plan,
+                         timeout: Optional[float] = None, fault_config=None):
+        mode = mode_plan.mode
         rank = factors[0].shape[1]
         self.ensure_rank(rank)
         rows = self.shape[mode]
+        task_specs = self._task_specs(mode_plan)
         for spec, factor in zip(self.factor_specs, factors):
             self.arena.view(spec)[...] = factor
 
@@ -751,25 +707,25 @@ class SharedMttkrpSession:
             pool.install_chaos(chaos_plan)
 
         want_trace = trace.enabled()
-        row_local = strategy == "schedule"
+        row_local = mode_plan.row_disjoint
         if row_local:
             out_spec, out_view = self._out_view(rows)
             out_view[...] = 0.0
-            targets = [(out_spec, out_view)] * len(thread_runs)
+            targets = [(out_spec, out_view)] * mode_plan.nthreads
         else:
             targets = self._priv_views(rows)
             for _, view in targets:
                 view[...] = 0.0
 
-        def msg_builder(t, runs, target_spec):
+        def msg_builder(t, target_spec):
             def build(reset: bool) -> tuple:
-                return ("mttkrp", t, self.handle, self.factor_specs, mode,
-                        tuple(tuple(r) for r in runs), target_spec,
-                        row_local, scatter, want_trace, reset)
+                return ("mttkrp", t, task_specs, self.factor_specs, mode,
+                        target_spec, row_local, mode_plan.scatter,
+                        want_trace, reset)
             return build
 
-        builders = {t: msg_builder(t, runs, targets[t][0])
-                    for t, runs in enumerate(thread_runs)}
+        builders = {t: msg_builder(t, targets[t][0])
+                    for t in range(mode_plan.nthreads)}
 
         if fault_config is not None and fault_config.policy != "fail-fast":
             from .supervisor import Supervisor
@@ -785,14 +741,11 @@ class SharedMttkrpSession:
             results = pool.collect(expected, timeout=timeout)
 
         report = ExecutionReport(backend="process")
-        backends = set()
         reg = metrics.get_registry()
         for t in sorted(results):
             elapsed, backend, nnz, events, mstats = results[t]
             report.results.append(TaskResult(tid=t, elapsed=elapsed,
                                              value=backend))
-            if isinstance(backend, str) and backend not in ("noop", ""):
-                backends.add(backend)
             if reg.enabled:
                 reg.inc("procpool.tasks")
                 reg.observe("procpool.task_seconds", elapsed,
@@ -812,13 +765,12 @@ class SharedMttkrpSession:
             output = np.zeros((rows, rank))
             for _, view in targets:
                 output += view
-        return output, report, tuple(sorted(backends))
+        return output, report
 
     # -- lifecycle -----------------------------------------------------
     def structure_specs(self) -> Tuple[ShmArraySpec, ...]:
-        """The shared segments holding the tensor structure arrays."""
-        h = self.handle
-        return (h.bptr, h.binds, h.einds, h.values)
+        """The shared segments holding the tensor's lowered task arrays."""
+        return tuple(spec for specs in self._tasks.values() for spec in specs)
 
     def acquire(self) -> "SharedMttkrpSession":
         """Take a reference; the arena stays mapped until :meth:`release`."""
@@ -879,7 +831,9 @@ def _ingest_worker_events(packed: list, worker_id: int) -> None:
 _SESSIONS_LOCK = threading.Lock()
 
 
-def _session_for(tensor, nworkers: int) -> SharedMttkrpSession:
+def session_for(tensor, nworkers: int) -> SharedMttkrpSession:
+    """The tensor's cached shared session for ``nworkers`` (created, or
+    re-created after :func:`release_shared`, on demand)."""
     with _SESSIONS_LOCK:
         sessions = tensor.__dict__.setdefault("_proc_sessions", {})
         session = sessions.get(nworkers)
@@ -898,167 +852,17 @@ def release_shared(tensor) -> None:
     concurrent jobs) are marked for teardown and unlinked by the job's
     closing :meth:`SharedMttkrpSession.release` instead — the call never
     blocks and never breaks a running kernel.
-
-    ALTO tensors hold their sessions on per-mode proxy views
-    (:meth:`repro.formats.alto.AltoTensor.proc_view`); those are released
-    here too, so one call covers every format.
     """
     with _SESSIONS_LOCK:
         sessions = dict(tensor.__dict__.get("_proc_sessions") or {})
         (tensor.__dict__.get("_proc_sessions") or {}).clear()
-        views = list((tensor.__dict__.get("_proc_views") or {}).values())
     for session in sessions.values():
         session.close()
-    for view in views:
-        release_shared(view)
 
 
 # ----------------------------------------------------------------------
-# entry points
+# generic tasks
 # ----------------------------------------------------------------------
-@dataclass
-class ProcessRun:
-    """Raw result of a process-backend MTTKRP (wrapped into MttkrpRun by
-    :func:`repro.kernels.mttkrp.mttkrp_parallel`)."""
-
-    output: np.ndarray
-    strategy: str
-    nworkers: int
-    thread_nnz: np.ndarray
-    schedule: object = None
-    report: ExecutionReport = field(default_factory=ExecutionReport)
-    scatter_backends: tuple = ()
-    reduction_flops: int = 0
-
-
-def mttkrp_process(tensor, factors: Sequence[np.ndarray], mode: int,
-                   nworkers: int, strategy: str = "auto",
-                   superblock_bits: Optional[int] = None,
-                   plan=None, start_method: Optional[str] = None,
-                   timeout: Optional[float] = None,
-                   fault_policy=None) -> ProcessRun:
-    """Parallel HiCOO MTTKRP on real cores via the shared-memory pool.
-
-    ``plan`` is an optional precomputed
-    :class:`repro.kernels.plan.MttkrpPlan`; without one, a per-call plan is
-    built (and its symbolic partition reused through the session's worker
-    caches on later calls).
-
-    ``fault_policy`` is ``"fail-fast"`` (default), ``"retry"``,
-    ``"degrade"``, or a :class:`repro.parallel.supervisor.FaultConfig`; see
-    ``docs/fault_tolerance.md``.  With ``"degrade"``, exhausted recovery
-    budgets surface as :class:`~repro.parallel.supervisor.DegradedExecution`
-    which :func:`repro.kernels.mttkrp.mttkrp_parallel` converts into a
-    fallback-backend run.
-    """
-    from ..core.hicoo import HicooTensor
-    from ..kernels.plan import plan_mttkrp
-    from .supervisor import FaultConfig
-
-    if not isinstance(tensor, HicooTensor):
-        raise TypeError(
-            "the process backend shares HiCOO structure arrays; got "
-            f"{type(tensor).__name__} — convert with HicooTensor(coo) first")
-    fault_config = FaultConfig.resolve(fault_policy)
-    rank = factors[0].shape[1]
-    if plan is None:
-        plan = plan_mttkrp(tensor, rank, nworkers, strategy=strategy,
-                           superblock_bits=superblock_bits)
-    nworkers = plan.nthreads
-    mp_ = plan.for_mode(mode)
-
-    with trace.span("mttkrp.process", mode=mode, nworkers=nworkers,
-                    strategy=mp_.strategy, fault_policy=fault_config.policy):
-        pool = get_pool(nworkers, start_method=start_method)
-        session = _session_for(tensor, nworkers)
-        output, report, backends = session.run_mode(
-            pool, factors, mode, mp_.thread_runs, mp_.strategy,
-            timeout=timeout, fault_config=fault_config)
-    metrics.inc("procpool.calls")
-
-    reduction_flops = 0
-    if mp_.strategy != "schedule":
-        reduction_flops = (nworkers - 1) * tensor.shape[mode] * rank
-    return ProcessRun(output=output, strategy=mp_.strategy,
-                      nworkers=nworkers,
-                      thread_nnz=mp_.thread_nnz.copy(),
-                      schedule=mp_.schedule, report=report,
-                      scatter_backends=backends,
-                      reduction_flops=reduction_flops)
-
-
-def mttkrp_process_alto(tensor, factors: Sequence[np.ndarray], mode: int,
-                        nworkers: int, strategy: str = "auto",
-                        start_method: Optional[str] = None,
-                        timeout: Optional[float] = None,
-                        fault_policy=None) -> ProcessRun:
-    """Parallel ALTO MTTKRP on real cores via the shared-memory pool.
-
-    The mode's output-space view rides the **unchanged** HiCOO worker path
-    through a duck-typed proxy (one ``bptr`` "block" per output-row
-    segment, all-zero ``binds``, ``block_bits=0`` — the worker's
-    ``(binds << b) + einds`` reconstruction returns the mode-sorted global
-    coordinates exactly).  Tasks are the same equal-nnz row-disjoint
-    segment ranges as the in-process schedule, so the shared-output region
-    is lock-free, reset-and-retry stays idempotent (a retried task zeroes
-    exactly the rows its ``ginds`` name), and the result is bit-identical
-    to the sim backend.
-
-    ``strategy="privatize"`` runs the same segment ranges into per-worker
-    slabs plus one parent reduction (ULP-equivalent, not bitwise).
-    """
-    from ..formats.alto import AltoTensor
-    from .supervisor import FaultConfig
-
-    if not isinstance(tensor, AltoTensor):
-        raise TypeError(
-            "mttkrp_process_alto needs an AltoTensor; got "
-            f"{type(tensor).__name__}")
-    if strategy == "auto":
-        strategy = "schedule"
-    if strategy not in ("schedule", "privatize"):
-        raise ValueError(
-            f"ALTO supports 'schedule' or 'privatize', got {strategy!r}")
-    fault_config = FaultConfig.resolve(fault_policy)
-    rank = factors[0].shape[1]
-    view = tensor.proc_view(mode)
-    bounds = view.bptr
-    seg_ranges = balanced_ranges_segments(bounds, nworkers)
-    thread_runs = [[(slo, shi)] for slo, shi in seg_ranges]
-    thread_nnz = np.array(
-        [int(bounds[shi] - bounds[slo]) for slo, shi in seg_ranges],
-        dtype=np.int64)
-
-    with trace.span("mttkrp.process", mode=mode, nworkers=nworkers,
-                    strategy=strategy, format="alto",
-                    fault_policy=fault_config.policy):
-        pool = get_pool(nworkers, start_method=start_method)
-        session = _session_for(view, nworkers)
-        output, report, backends = session.run_mode(
-            pool, factors, mode, thread_runs, strategy,
-            timeout=timeout, fault_config=fault_config, scatter="seq")
-    metrics.inc("procpool.calls")
-
-    reduction_flops = 0
-    if strategy != "schedule":
-        reduction_flops = (nworkers - 1) * tensor.shape[mode] * rank
-    return ProcessRun(output=output, strategy=strategy, nworkers=nworkers,
-                      thread_nnz=thread_nnz, schedule=None, report=report,
-                      scatter_backends=backends,
-                      reduction_flops=reduction_flops)
-
-
-def balanced_ranges_segments(bounds: np.ndarray, nparts: int):
-    """Equal-nnz contiguous split of segment space (``bounds`` = segment
-    boundary offsets, length nsegments+1) — the partition shared by the
-    in-process ALTO schedule and the process backend, so both cut tasks at
-    identical places."""
-    from .partition import balanced_ranges
-
-    weights = np.diff(bounds)
-    return balanced_ranges(weights, nparts)
-
-
 def run_generic_tasks(tasks, nworkers: Optional[int] = None,
                       start_method: Optional[str] = None,
                       timeout: Optional[float] = None,

@@ -4,9 +4,9 @@
 
 * a **tensor registry** — named tensors built from synthetic specs (or
   registered in-process), converted once via ``as_format`` and kept
-  resident; HiCOO entries lazily grow a per-(rank, nthreads) gather-plan
-  cache, and the process backend's shared-memory sessions live on the
-  tensor objects themselves (refcounted — see
+  resident; HiCOO and ALTO entries lazily grow a per-(rank, nthreads)
+  MTTKRP-plan cache, and the process backend's shared-memory sessions
+  live on the tensor objects themselves (refcounted — see
   :class:`repro.parallel.procpool.SharedMttkrpSession`);
 * a **socket front door** — line-delimited JSON (:mod:`.protocol`); one
   handler thread per connection, requests answered in order; every
@@ -47,7 +47,7 @@ from ..obs.export import MetricsServer
 from ..parallel import supervisor as _supervisor
 from ..util.log import get_logger
 from . import protocol
-from .jobs import Job, run_job
+from .jobs import Job, run_job, runs_parallel
 from .protocol import ProtocolError, error_reply
 from .scheduler import AdmissionError, JobScheduler
 
@@ -141,11 +141,12 @@ class TensorEntry:
             return view
 
     def plan_for(self, rank: int, nthreads: int, tensor=None):
-        """Memoized MTTKRP plan (HiCOO only) — the one-time symbolic cost
-        a resident service amortizes across the request stream.  ``tensor``
+        """Memoized ``schedule`` MTTKRP plan (HiCOO, ALTO: the formats
+        :func:`run_job` parallelizes) — the one-time symbolic cost a
+        resident service amortizes across the request stream.  ``tensor``
         selects a re-formatted view (default: the registered tensor)."""
         tensor = self.tensor if tensor is None else tensor
-        if tensor.format_name != "hicoo" or nthreads < 1:
+        if nthreads < 1:
             return None
         key = (tensor.format_name, rank, nthreads)
         with self._lock:
@@ -155,7 +156,6 @@ class TensorEntry:
 
                 plan = plan_mttkrp(tensor, rank, nthreads,
                                    strategy="schedule")
-                plan.ensure_gathers(tensor)
                 self._plans[key] = plan
                 metrics.inc("serve.plans_built")
             else:
@@ -278,6 +278,12 @@ class ReproDaemon:
                          "message": "daemon stopped before execution"}
             job.done.set()
         if self._listener is not None:
+            # shutdown wakes the thread blocked in accept(); close alone
+            # does not on Linux
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:
@@ -578,7 +584,8 @@ class ReproDaemon:
                 job.done.set()
             return
         plan = None
-        if head.op == "mttkrp" and self.nthreads > 1:
+        if head.op == "mttkrp" and runs_parallel(view, self.nthreads,
+                                                  self.backend):
             plan = entry.plan_for(head.rank, self.nthreads, tensor=view)
         with trace.span("serve.batch", op=head.op, tensor=head.tensor,
                         jobs=len(batch)):

@@ -34,6 +34,7 @@ __all__ = [
     "factors_for",
     "matrix_for",
     "digest_array",
+    "runs_parallel",
     "run_job",
 ]
 
@@ -139,6 +140,15 @@ def digest_array(*arrays: np.ndarray) -> str:
     return h.hexdigest()
 
 
+def runs_parallel(tensor, nthreads: int, backend: Optional[str]) -> bool:
+    """Whether :func:`run_job` takes the parallel path for ``tensor``:
+    HiCOO and ALTO on a parallel configuration (their ``schedule`` runs
+    are bitwise backend-independent); COO and CSF always run the
+    sequential kernel."""
+    return tensor.format_name in ("hicoo", "alto") and (
+        nthreads > 1 or backend not in (None, "sim"))
+
+
 def run_job(op: str, tensor, *, mode: int = 0, rank: int = 4, seed: int = 0,
             iters: int = 3, backend: str = "sim", nthreads: int = 1,
             fault_policy=None, plan=None) -> dict:
@@ -155,10 +165,10 @@ def run_job(op: str, tensor, *, mode: int = 0, rank: int = 4, seed: int = 0,
     the request asked for data).
     """
     fmt = tensor.format_name
+    use_parallel = runs_parallel(tensor, nthreads, backend)
     if op == "mttkrp":
         factors = factors_for(tensor.shape, rank, seed)
-        if fmt in ("hicoo", "alto") and (nthreads > 1
-                                         or backend not in (None, "sim")):
+        if use_parallel:
             from ..kernels.mttkrp import mttkrp_parallel
 
             run = mttkrp_parallel(tensor, factors, mode, nthreads,
@@ -175,8 +185,6 @@ def run_job(op: str, tensor, *, mode: int = 0, rank: int = 4, seed: int = 0,
     if op == "cp_als":
         from ..cpd.cp_als import cp_als
 
-        use_parallel = fmt in ("hicoo", "alto") and (
-            nthreads > 1 or backend not in (None, "sim"))
         res = cp_als(tensor, rank, maxiters=iters, tol=0.0, init="random",
                      seed=seed,
                      nthreads=nthreads if use_parallel else 1,

@@ -27,6 +27,7 @@ import pytest
 from repro.core.hicoo import HicooTensor
 from repro.formats.alto import AltoTensor
 from repro.formats.coo import CooTensor
+from repro.formats.csf import CsfTensor
 from repro.kernels.backends import tier_available, tier_reason
 from repro.kernels.mttkrp import mttkrp, mttkrp_parallel
 from repro.kernels.plan import plan_mttkrp
@@ -208,12 +209,34 @@ def test_process_backend_more_workers_than_blocks():
         procpool.release_shared(hic)
 
 
-def test_process_backend_rejects_non_hicoo():
-    coo = _random_coo(5)
-    rng = np.random.default_rng(5)
-    factors = [rng.random((s, 3)) for s in coo.shape]
-    with pytest.raises(ValueError, match="process"):
-        mttkrp_parallel(coo, factors, 0, 2, backend="process")
+@pytest.mark.parametrize("seed", range(3))
+def test_process_backend_coo_csf_match_sim_bitwise(seed):
+    """COO and CSF lower to the same task lists as HiCOO: one plan, run on
+    the process backend, is bit-identical to the same plan on sim."""
+    coo = _random_coo(900 + seed)
+    rng = np.random.default_rng(9000 + seed)
+    factors = [rng.random((s, 4)) + 0.1 for s in coo.shape]
+    nworkers = 2 + seed % 2
+    for tensor, strategies in ((coo, ("privatize", "atomic")),
+                               (CsfTensor(coo), ("subtree", "privatize"))):
+        try:
+            for strategy in strategies:
+                plan = plan_mttkrp(tensor, 4, nworkers, strategy=strategy)
+                for mode in range(coo.nmodes):
+                    sim = mttkrp_parallel(tensor, factors, mode, nworkers,
+                                          plan=plan, backend="sim")
+                    proc = mttkrp_parallel(tensor, factors, mode, nworkers,
+                                           plan=plan, backend="process")
+                    label = f"seed={seed} {tensor.format_name}/{strategy}"
+                    assert np.array_equal(proc.output, sim.output), label
+                    # atomic tasks overlap on rows: they never leave the
+                    # calling process
+                    assert proc.report.backend == (
+                        "sim" if strategy == "atomic" else "process")
+                    _check_against_oracle(proc.output,
+                                          mttkrp(coo, factors, mode), label)
+        finally:
+            procpool.release_shared(tensor)
 
 
 # ----------------------------------------------------------------------

@@ -170,6 +170,26 @@ def test_fused_kernel_twin_matches_oracle(strategy):
         assert np.allclose(out_serial, oracle, rtol=1e-12)
 
 
+@pytest.mark.parametrize("fmt,strategy", [("coo", "privatize"),
+                                          ("coo", "atomic"),
+                                          ("csf", "subtree"),
+                                          ("csf", "privatize")])
+def test_fused_kernel_twin_runs_coo_and_csf_plans(fmt, strategy):
+    """Every ``scatter="auto"`` lowering reaches the fused kernel, not
+    just HiCOO's."""
+    from repro.formats import as_format
+
+    coo, _ = _tensor(seed=17)
+    tensor = as_format(coo, fmt)
+    rng = np.random.default_rng(17)
+    factors = [rng.random((s, 4)) + 0.1 for s in coo.shape]
+    plan = plan_mttkrp(tensor, 4, 3, strategy=strategy)
+    for mode in range(coo.nmodes):
+        out, _, _ = compiled.mttkrp_compiled(plan.for_mode(mode), factors,
+                                             coo.shape[mode], "numba")
+        assert np.allclose(out, mttkrp(coo, factors, mode), rtol=1e-12)
+
+
 def test_segmented_mttkrp_numpy_twin_matches_oracle():
     """The cupy tier's algorithm, executed with xp=numpy."""
     coo, hic = _tensor(seed=12, shape=(25, 9, 13, 7), nnz=220)
@@ -211,8 +231,11 @@ def test_plan_caches_fused_state():
     factors = [rng.random((s, 4)) + 0.1 for s in coo.shape]
     plan = plan_mttkrp(hic, 4, 2)
     metrics.reset()
-    out1, _, _ = compiled.mttkrp_compiled(hic, factors, 0, plan, "numba")
-    out2, _, _ = compiled.mttkrp_compiled(hic, factors, 0, plan, "numba")
+    rows = coo.shape[0]
+    out1, _, _ = compiled.mttkrp_compiled(plan.for_mode(0), factors, rows,
+                                          "numba")
+    out2, _, _ = compiled.mttkrp_compiled(plan.for_mode(0), factors, rows,
+                                          "numba")
     assert np.allclose(out1, out2, rtol=1e-15)
     assert metrics.value("compiled.fused_builds") == 1
     assert metrics.value("compiled.fused_hits") == 1

@@ -103,10 +103,10 @@ class TestAccounting:
 
 
 class TestRealThreads:
-    def test_schedule_with_real_threads(self, factors3d, small3d):
+    def test_schedule_with_thread_backend(self, factors3d, small3d):
         hic = HicooTensor(small3d, block_bits=2)
         ref = mttkrp(small3d, factors3d, 0)
         run = mttkrp_parallel(hic, factors3d, 0, 4, strategy="schedule",
-                              real_threads=True)
+                              backend="thread")
         np.testing.assert_allclose(run.output, ref, atol=1e-10)
-        assert run.report.real_threads
+        assert run.report.backend == "thread"

@@ -112,10 +112,10 @@ class TestRunTasks:
         report = run_tasks([lambda: sum(range(10000)) for _ in range(3)])
         assert report.makespan() <= report.total_work_time() + 1e-12
 
-    def test_real_threads(self):
-        report = run_tasks([lambda i=i: i for i in range(3)], real_threads=True)
+    def test_thread_backend(self):
+        report = run_tasks([lambda i=i: i for i in range(3)], backend="thread")
         assert sorted(report.values()) == [0, 1, 2]
-        assert report.real_threads
+        assert report.backend == "thread"
 
     def test_empty(self):
         report = run_tasks([])

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core.hicoo import HicooTensor
 from repro.cpd.cp_als import cp_als
+from repro.formats import as_format
+from repro.formats.dense import DenseTensor
 from repro.kernels.mttkrp import mttkrp_parallel
 from repro.kernels.plan import plan_mttkrp
 
@@ -35,9 +37,31 @@ class TestPlanConstruction:
             assert len(mp.thread_blocks) == 3
             mp.schedule.verify(plan.superblocks)
 
+    @pytest.mark.parametrize("fmt,strategies", [
+        ("coo", ("auto", "privatize", "atomic")),
+        ("csf", ("auto", "subtree", "privatize")),
+        ("hicoo", ("auto", "schedule", "privatize")),
+        ("alto", ("auto", "schedule", "privatize")),
+    ])
+    def test_every_format_plans(self, small3d, factors3d, fmt, strategies):
+        tensor = as_format(small3d, fmt)
+        for strategy in strategies:
+            plan = plan_mttkrp(tensor, rank=6, nthreads=3, strategy=strategy)
+            gathers = plan.ensure_gathers(tensor)
+            assert sum(tg.nnz for tg in gathers) == 3 * tensor.nnz
+            for mode, mp in enumerate(plan.modes):
+                assert mp.nthreads == 3
+                assert mp.thread_nnz.sum() == tensor.nnz
+                ref = small3d.mttkrp(factors3d, mode)
+                run = mttkrp_parallel(tensor, factors3d, mode, 3, plan=plan)
+                np.testing.assert_allclose(run.output, ref, atol=1e-10)
+                assert run.strategy == mp.strategy
+
     def test_validation(self, hic, small3d):
-        with pytest.raises(TypeError):
-            plan_mttkrp(small3d, rank=4, nthreads=2)
+        with pytest.raises(TypeError, match="no parallel MTTKRP"):
+            plan_mttkrp(DenseTensor(small3d.to_dense()), rank=4, nthreads=2)
+        with pytest.raises(ValueError, match="COO supports"):
+            plan_mttkrp(small3d, rank=4, nthreads=2, strategy="schedule")
         with pytest.raises(ValueError):
             plan_mttkrp(hic, rank=0, nthreads=2)
         with pytest.raises(ValueError):
@@ -67,4 +91,14 @@ class TestPlannedExecution:
         # nthreads>1 on a HiCOO tensor now goes through the plan path
         planned = cp_als(hic, 3, maxiters=3, tol=0.0, init=init, nthreads=4)
         serial = cp_als(hic, 3, maxiters=3, tol=0.0, init=init, nthreads=1)
+        np.testing.assert_allclose(planned.fits, serial.fits, atol=1e-10)
+
+    @pytest.mark.parametrize("fmt", ["coo", "csf", "alto"])
+    def test_cp_als_takes_a_plan_of_any_format(self, small3d, rng, fmt):
+        tensor = as_format(small3d, fmt)
+        init = [rng.random((s, 3)) for s in small3d.shape]
+        plan = plan_mttkrp(tensor, rank=3, nthreads=3)
+        planned = cp_als(tensor, 3, maxiters=3, tol=0.0, init=init,
+                         plan=plan)
+        serial = cp_als(tensor, 3, maxiters=3, tol=0.0, init=init)
         np.testing.assert_allclose(planned.fits, serial.fits, atol=1e-10)

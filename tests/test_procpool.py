@@ -9,15 +9,21 @@ and per-worker observability export.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import traceback
 from functools import partial
 from multiprocessing import shared_memory
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.hicoo import HicooTensor
+from repro.formats.alto import AltoTensor
 from repro.kernels.mttkrp import mttkrp_parallel
+from repro.kernels.plan import plan_mttkrp
 from repro.obs import metrics, trace
 from repro.parallel import procpool
 from repro.parallel.executor import (BACKENDS, resolve_backend, run_tasks)
@@ -54,7 +60,6 @@ def _sleep_return(x):
 # ----------------------------------------------------------------------
 def test_resolve_backend():
     assert resolve_backend(None) == "sim"
-    assert resolve_backend(None, real_threads=True) == "thread"
     assert resolve_backend("seq") == "sim"
     assert resolve_backend("sequential") == "sim"
     for b in BACKENDS:
@@ -90,9 +95,9 @@ def test_run_tasks_process_propagates_remote_traceback():
     assert report.values() == [0, 1, 4]
 
 
-def test_run_tasks_thread_legacy_flag_still_works():
+def test_run_tasks_thread_backend():
     report = run_tasks([partial(_sleep_return, i) for i in range(4)],
-                       real_threads=True)
+                       backend="thread")
     assert report.backend == "thread"
     assert report.values() == [1, 2, 3, 4]
 
@@ -173,6 +178,52 @@ def test_release_shared_unlinks_segments():
     procpool.release_shared(hic)
 
 
+def _psm_segments() -> set:
+    return {p.name for p in Path("/dev/shm").glob("psm_*")}
+
+
+@pytest.mark.skipif(not Path("/dev/shm").is_dir(), reason="no /dev/shm")
+def test_release_shared_unlinks_every_format():
+    coo = make_random_coo((16, 14, 12), nnz=150, seed=4)
+    tensors = [HicooTensor(coo, block_bits=2), AltoTensor(coo), coo]
+    rng = np.random.default_rng(4)
+    factors = [rng.random((s, 3)) for s in coo.shape]
+    before = _psm_segments()
+    for tensor in tensors:
+        plan = plan_mttkrp(tensor, 3, 2)
+        for mode in range(coo.nmodes):
+            mttkrp_parallel(tensor, factors, mode, 2, plan=plan,
+                            backend="process")
+    created = _psm_segments() - before
+    assert created
+    for tensor in tensors:
+        procpool.release_shared(tensor)
+    assert not (_psm_segments() & created)
+
+
+def test_unplanned_calls_reshare_nothing():
+    hic = _make_hicoo(seed=5)
+    rng = np.random.default_rng(5)
+    factors = [rng.random((s, 3)) for s in hic.shape]
+    try:
+        metrics.reset()
+        metrics.enable()
+        for _ in range(3):
+            for mode in range(hic.nmodes):
+                mttkrp_parallel(hic, factors, mode, 2, strategy="schedule",
+                                backend="process")
+        # one share per distinct partition; every other call is a reuse
+        keys = {hic.lower_mode(m, 2, "schedule").key
+                for m in range(hic.nmodes)}
+        assert metrics.value("procpool.task_shares") == len(keys)
+        assert metrics.value("procpool.task_reuses") == \
+            3 * hic.nmodes - len(keys)
+    finally:
+        metrics.reset()
+        metrics.enable()
+        procpool.release_shared(hic)
+
+
 def test_worker_spans_merge_into_parent_trace():
     hic = _make_hicoo(seed=2)
     rng = np.random.default_rng(2)
@@ -201,3 +252,41 @@ def test_shutdown_pools_then_cold_restart():
     procpool.shutdown_pools()
     report = run_tasks([partial(_square, 5)], backend="process", nworkers=1)
     assert report.values() == [25]
+
+
+_RESTART_SCRIPT = """
+import numpy as np
+from repro.core.hicoo import HicooTensor
+from repro.cpd.cp_als import cp_als
+from repro.formats.alto import AltoTensor
+from repro.formats.coo import CooTensor
+from repro.parallel import procpool
+
+rng = np.random.default_rng(0)
+inds = np.unique(rng.integers(0, 40, size=(800, 3)), axis=0)
+coo = CooTensor((40, 40, 40), inds, rng.random(len(inds)))
+tensors = [HicooTensor(coo, block_bits=3), AltoTensor(coo)]
+for _ in range(2):  # a solve, a pool restart, another solve
+    for t in tensors:
+        cp_als(t, 3, maxiters=2, tol=0.0, seed=0, nthreads=2,
+               backend="process")
+    procpool.shutdown_pools()
+for t in tensors:
+    procpool.release_shared(t)
+print("ok")
+"""
+
+
+def test_pool_restart_leaves_resource_tracker_quiet():
+    """Workers share the parent's resource tracker, so restarting the pool
+    after shared memory was used never makes the tracker unregister a name
+    twice (which it reports as KeyError tracebacks on stderr)."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run([sys.executable, "-c", _RESTART_SCRIPT],
+                         capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "ok"
+    assert "KeyError" not in out.stderr, out.stderr

@@ -252,6 +252,21 @@ def test_disconnect_mid_frame_is_harmless():
         daemon.stop()
 
 
+def test_stop_returns_promptly_after_a_client():
+    """A thread blocked in accept() must wake on stop(): no join timeout
+    to sit out, and no serve thread left behind."""
+    daemon = ReproDaemon(backend="sim")
+    daemon.start()
+    with ServeClient(port=daemon.port) as cli:
+        assert cli.ping()["pong"]
+    t0 = time.monotonic()
+    daemon.stop()
+    assert time.monotonic() - t0 < 1.0
+    alive = [t.name for t in threading.enumerate()
+             if t.name.startswith("repro-serve-")]
+    assert alive == []
+
+
 # ----------------------------------------------------------------------
 # 4. overload: bounded queue, explicit shedding, survival
 # ----------------------------------------------------------------------
