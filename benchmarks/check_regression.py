@@ -75,6 +75,12 @@ ALTO_PARITY_FLOOR = 0.95
 #: datasets) — the ISSUE-10 acceptance gate
 DIRECT_SPEEDUP_FLOOR = 1.5
 
+#: per-column-loop / flat-bincount time floors for the scatter-add
+#: ``"bincount"`` rung, per bench_gather scenario.  Measured on a 2-core
+#: x86 VM: 1.8-2.3x on medium, 1.14-1.36x on large, whose 2.5 MB output
+#: outgrows the L2 cache a single per-column pass (160 KB) fits in.
+SCATTER_FLAT_FLOORS = {"medium": 1.5, "large": 1.05}
+
 #: every bench file a guard family can contribute; ``--summary`` renders a
 #: visible SKIP row (instead of silently omitting the file) when a guard's
 #: optional dependency or benchmark run is absent
@@ -184,6 +190,27 @@ def check_direct_convert() -> bool:
         print(f"FAIL: pairs slower than the round-trip they replace: "
               f"{ {k: round(v, 2) for k, v in slower.items()} }")
         ok = False
+    return ok
+
+
+def check_scatter() -> bool:
+    """Guard the one-pass scatter: the flat bincount of ``scatter_add``'s
+    ``"bincount"`` rung must beat the per-column loop it replaced by each
+    scenario's floor in SCATTER_FLAT_FLOORS."""
+    from bench_gather import bench_scatter, flat_speedups
+    from conftest import write_bench_json
+
+    records = bench_scatter(repeat=REPEAT)
+    write_bench_json(records, "BENCH_gather.json")
+    ok = True
+    for label, s in flat_speedups(records).items():
+        floor = SCATTER_FLAT_FLOORS.get(label)
+        print(f"  {label:<10s} per-column / flat: {s:.2f}x"
+              + (f" (floor {floor}x)" if floor else ""))
+        if floor and s < floor:
+            print(f"FAIL: {label}: flat bincount is only {s:.2f}x faster "
+                  f"than the per-column loop (< {floor}x)")
+            ok = False
     return ok
 
 
@@ -569,6 +596,11 @@ def main() -> int:
         print("OK: direct converters are bit-identical to the round-trip "
               "and meet the geomean floor")
 
+    print("scatter-add (flat bincount vs per-column loop):")
+    scatter_ok = check_scatter()
+    if scatter_ok:
+        print("OK: the flat bincount meets the scatter floor")
+
     print("cache efficiency (obs.metrics):")
     cache_ok = check_cache_efficiency()
     if cache_ok:
@@ -601,8 +633,8 @@ def main() -> int:
     if serve_ok:
         print("OK: daemon matches the oracle bitwise and clears the "
               "throughput floor")
-    return (0 if ok and conv_ok and direct_ok and cache_ok and proc_ok
-            and jit_ok and alto_ok and serve_ok else 1)
+    return (0 if ok and conv_ok and direct_ok and scatter_ok and cache_ok
+            and proc_ok and jit_ok and alto_ok and serve_ok else 1)
 
 
 #: --only names -> (section header, check thunk)
@@ -611,6 +643,8 @@ ONLY_CHECKS = {
                    lambda: check_conversion(load(DATASET))),
     "direct-convert": ("direct format converters (vs COO round-trip):",
                        check_direct_convert),
+    "scatter": ("scatter-add (flat bincount vs per-column loop):",
+                check_scatter),
     "cache": ("cache efficiency (obs.metrics):", check_cache_efficiency),
     "process": ("process backend (true multicore):", check_process_backend),
     "jit": ("compiled tier (numba JIT):", check_compiled_tier),

@@ -49,47 +49,18 @@ Run = Tuple[np.ndarray, np.ndarray, np.ndarray]  # keys, offsets, values
 
 
 def read_tns_chunks(path, chunk_nnz: int = 100_000) -> Iterator[Chunk]:
-    """Yield (indices, values) chunks from a FROSTT ``.tns`` file.
+    """Yield (indices, values) chunks of at most ``chunk_nnz`` nonzeros from
+    a FROSTT ``.tns`` file.
 
-    Coordinates are converted to zero-based.  Raises on malformed lines,
-    like :func:`repro.data.frostt.read_tns`.
+    Coordinates are converted to zero-based.  Same parser, and the same
+    errors on malformed lines, as :func:`repro.data.frostt.read_tns`.
     """
+    from ..data.frostt import iter_tns
+
     if chunk_nnz < 1:
         raise ValueError(f"chunk_nnz must be positive, got {chunk_nnz}")
-    rows: list = []
-    width = None
     with open(path, "r") as fh:
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(("#", "%")):
-                continue
-            parts = stripped.split()
-            if width is None:
-                width = len(parts)
-                if width < 2:
-                    raise ValueError(f"line {lineno}: need indices + value")
-            elif len(parts) != width:
-                raise ValueError(f"line {lineno}: expected {width} fields")
-            rows.append(_parse_tns_line(parts, lineno))
-            if len(rows) >= chunk_nnz:
-                yield _rows_to_chunk(rows)
-                rows = []
-    if rows:
-        yield _rows_to_chunk(rows)
-
-
-def _parse_tns_line(parts, lineno):
-    from ..data.frostt import _parse_line
-
-    return _parse_line(parts, lineno)
-
-
-def _rows_to_chunk(rows: list) -> Chunk:
-    inds = np.asarray([r[0] for r in rows], dtype=np.int64)
-    vals = np.asarray([r[1] for r in rows], dtype=np.float64)
-    if inds.min() < 1:
-        raise ValueError(".tns coordinates are one-based")
-    return inds - 1, vals
+        yield from iter_tns(fh, chunk_lines=chunk_nnz)
 
 
 class ChunkedHicooBuilder:

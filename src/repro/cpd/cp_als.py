@@ -198,8 +198,8 @@ def cp_als(tensor: SparseTensorFormat, rank: int, *,
                     result.dense_seconds += time.perf_counter() - t0
 
                 with trace.span("cpals.fit"):
-                    kt = KruskalTensor(weights, [f.copy() for f in factors])
-                    fit = kt.fit(coo, tensor_norm=xnorm)
+                    fit = _fit_from_mttkrp(xnorm, weights, factors[-1], m,
+                                           grams)
                 sp.note(fit=fit)
             result.fits.append(fit)
             result.iterations = it + 1
@@ -218,3 +218,22 @@ def cp_als(tensor: SparseTensorFormat, rank: int, *,
     result.total_seconds = time.perf_counter() - t_start
     result.ktensor = KruskalTensor(weights, factors).arrange()
     return result
+
+
+def _fit_from_mttkrp(xnorm: float, weights: np.ndarray, last: np.ndarray,
+                     m: np.ndarray, grams: Sequence[np.ndarray]) -> float:
+    """CP fit ``1 - ||X - M|| / ||X||`` without another pass over X.
+
+    ``m`` is the last mode's MTTKRP, computed from the factors the model
+    still holds for every other mode, so the sparse inner product is
+    ``<X, M> = sum_r lambda_r sum_i last[i, r] m[i, r]`` — O(I_N R) work
+    instead of O(nnz N R).  ``||M||^2 = lambda^T (hadamard_n G_n) lambda``
+    reuses the maintained Grams.  Same formula and ``||X|| = 0`` convention
+    as :meth:`KruskalTensor.fit`, which stays the test oracle.
+    """
+    mnorm_sq = max(float(weights @ hadamard_all(grams) @ weights), 0.0)
+    if xnorm == 0:
+        return 1.0 if mnorm_sq == 0 else 0.0
+    inner = float(weights @ np.einsum("ir,ir->r", last, m))
+    resid_sq = xnorm**2 - 2.0 * inner + mnorm_sq
+    return 1.0 - np.sqrt(max(resid_sq, 0.0)) / xnorm

@@ -1,7 +1,7 @@
 """Reader/writer for the FROSTT ``.tns`` text format.
 
 One nonzero per line: N one-based coordinates followed by the value,
-whitespace separated.  Lines starting with ``#`` are comments.  This is the
+whitespace separated.  ``#`` or ``%`` starts a comment.  This is the
 format the paper's datasets ship in, so real FROSTT files can be dropped
 straight into the benchmark harness.
 """
@@ -9,16 +9,21 @@ straight into the benchmark harness.
 from __future__ import annotations
 
 import io
+import warnings
+from itertools import islice
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..formats.coo import CooTensor
 
-__all__ = ["read_tns", "write_tns"]
+__all__ = ["iter_tns", "read_tns", "write_tns"]
 
 PathLike = Union[str, Path, io.TextIOBase]
+
+#: characters that start a comment, anywhere on a line
+_COMMENTS = ("#", "%")
 
 
 def _parse_line(parts, lineno):
@@ -46,6 +51,89 @@ def _parse_line(parts, lineno):
     return coords, value
 
 
+def _fields(line: str) -> list:
+    """Whitespace-separated fields of ``line`` before any comment."""
+    for mark in _COMMENTS:
+        line = line.split(mark, 1)[0]
+    return line.split()
+
+
+def _data_width(lines, lineno: int) -> Optional[int]:
+    """Field count of the first data line in ``lines``; None when none."""
+    for k, line in enumerate(lines, lineno):
+        parts = _fields(line)
+        if parts:
+            if len(parts) < 2:
+                raise ValueError(
+                    f"line {k}: need at least one index and a value")
+            return len(parts)
+    return None
+
+
+def _parse_lines(lines, lineno: int, width: int):
+    """One-based coordinates and values of the data lines in ``lines``.
+
+    The fast path is one ``np.loadtxt`` call; on any parse problem the
+    per-line parser re-runs, so every error names its line and cause.
+    Only ASCII text takes the fast path: NumPy's C tokenizer can crash on
+    some non-ASCII code points, and ``.tns`` data is ASCII anyway.
+    """
+    dtype = [("i", np.int64, (width - 1,)), ("v", np.float64)]
+    if all(map(str.isascii, lines)):
+        try:
+            with warnings.catch_warnings():
+                # an all-comment chunk warns; let the line loop answer it
+                warnings.simplefilter("error")
+                data = np.loadtxt(lines, dtype=dtype, comments=_COMMENTS,
+                                  ndmin=1)
+            return data["i"], data["v"]
+        except (ValueError, OverflowError, Warning):
+            pass
+    rows = []
+    for k, line in enumerate(lines, lineno):
+        parts = _fields(line)
+        if not parts:
+            continue
+        if len(parts) != width:
+            raise ValueError(
+                f"line {k}: expected {width} fields, got {len(parts)}")
+        rows.append(_parse_line(parts, k))
+    inds = np.asarray([r[0] for r in rows], dtype=np.int64)
+    vals = np.asarray([r[1] for r in rows], dtype=np.float64)
+    return inds.reshape(len(rows), width - 1), vals
+
+
+def iter_tns(fh, chunk_lines: Optional[int] = None
+             ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield ``(indices, values)`` from the open ``.tns`` text ``fh``.
+
+    One pair per ``chunk_lines`` raw lines (all lines when ``None``); pairs
+    without data are skipped.  Indices are zero-based ``(n, N)`` int64,
+    values ``(n,)`` float64.  ``#`` and ``%`` start a comment.
+
+    Raises
+    ------
+    ValueError on ragged rows, non-numeric fields or non-positive indices;
+    the message names the offending line.
+    """
+    width = None
+    lineno = 1
+    while True:
+        lines = list(islice(fh, chunk_lines))
+        if not lines:
+            return
+        if width is None:
+            width = _data_width(lines, lineno)
+        if width is not None:
+            inds, vals = _parse_lines(lines, lineno, width)
+            if len(vals):
+                if inds.min() < 1:
+                    raise ValueError(
+                        ".tns coordinates are one-based and must be >= 1")
+                yield inds - 1, np.ascontiguousarray(vals)
+        lineno += len(lines)
+
+
 def read_tns(source: PathLike, shape: Optional[Sequence[int]] = None,
              nmodes: Optional[int] = None) -> CooTensor:
     """Parse a ``.tns`` file into a COO tensor.
@@ -62,46 +150,18 @@ def read_tns(source: PathLike, shape: Optional[Sequence[int]] = None,
     ValueError on ragged rows, non-numeric fields, non-positive indices, or a
     mode-count / shape mismatch.
     """
-    close = False
     if isinstance(source, (str, Path)):
-        fh = open(source, "r")
-        close = True
+        with open(source, "r") as fh:
+            chunks = list(iter_tns(fh))
     else:
-        fh = source
-    try:
-        rows = []
-        width = None
-        for lineno, line in enumerate(fh, 1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(("#", "%")):
-                continue
-            parts = stripped.split()
-            if width is None:
-                width = len(parts)
-                if width < 2:
-                    raise ValueError(
-                        f"line {lineno}: need at least one index and a value"
-                    )
-            elif len(parts) != width:
-                raise ValueError(
-                    f"line {lineno}: expected {width} fields, got {len(parts)}"
-                )
-            rows.append(_parse_line(parts, lineno))
-    finally:
-        if close:
-            fh.close()
+        chunks = list(iter_tns(source))
 
-    if not rows:
+    if not chunks:
         if shape is None:
             raise ValueError("empty .tns file and no explicit shape given")
         return CooTensor.empty(shape)
 
-    inds = np.asarray([r[0] for r in rows], dtype=np.int64)
-    vals = np.asarray([r[1] for r in rows], dtype=np.float64)
-    if inds.min() < 1:
-        raise ValueError(".tns coordinates are one-based and must be >= 1")
-    inds -= 1
-
+    [(inds, vals)] = chunks
     file_modes = inds.shape[1]
     if nmodes is not None and file_modes != nmodes:
         raise ValueError(f"file has {file_modes} modes, expected {nmodes}")

@@ -22,7 +22,7 @@ MTTKRP runs over *output-space* views: for target mode ``m`` the nonzeros
 are ordered by their mode-``m`` row with ties broken by **original COO
 position**.  That makes every per-row accumulation a left-to-right sum in
 source order — exactly the order the COO oracle's scatter backends
-(``add_at``, ``bincount``, ``sort_reduceat``, and the sequential compiled
+(``add_at``, ``bincount``, ``compact``, and the sequential compiled
 loop) use — so the ALTO kernel is *bit-identical* to the sequential COO
 baseline on every backend that preserves per-task ordering (sim, thread,
 process, numba).  Row segments are disjoint between tasks, so the existing
@@ -247,7 +247,7 @@ class AltoTensor(SparseTensorFormat):
 
         The tie order is what makes every backend bit-identical to the COO
         oracle: each output row is accumulated left-to-right in source
-        order, exactly as ``add_at``/``bincount``/``sort_reduceat`` do on
+        order, exactly as ``add_at``/``bincount``/``compact`` do on
         the unsorted COO input.  Memoized per mode.
         """
         mode = check_mode(mode, self.nmodes)

@@ -10,9 +10,10 @@ separation; see DESIGN.md section 7):
 
 * :class:`TaskGather` — the cached symbolic state of one thread task: fused
   int64 gather coordinates, task-ordered values, and per-mode sortedness
-  flags (sorted scatter indices unlock the segmented-reduction backend);
+  flags (a sorted scatter mode renumbers its rows without a sort);
 * :func:`scatter_add` — a drop-in replacement for ``np.add.at`` that picks
-  the fastest NumPy scatter backend for the input at hand;
+  the fastest NumPy scatter backend for the input at hand, bitwise equal
+  to ``np.add.at`` on float64 data;
 * run coalescing — consecutive block ids become ``(lo, hi)`` slice ranges so
   task setup is O(runs), not O(blocks).
 
@@ -55,8 +56,8 @@ SCATTER_SMALL_N = 64
 SCATTER_COMPILED_MIN_N = 4096
 
 #: when the output has this many times more rows than there are updates, a
-#: per-column bincount (which walks the whole output) loses to sorting the
-#: updates and segment-reducing them.
+#: bincount over the whole output (which walks every row) loses to
+#: renumbering the updates onto the rows they touch first.
 _SPARSE_OUT_RATIO = 8
 
 
@@ -70,46 +71,57 @@ def scatter_add(out: np.ndarray, idx: np.ndarray, acc: np.ndarray,
     """Accumulate ``acc`` into ``out`` at rows ``idx``; returns the backend.
 
     Semantically identical to ``np.add.at(out, idx, acc)`` — duplicate
-    indices sum — but picks the fastest primitive available:
+    indices sum — but picks the fastest primitive available.  Every rung
+    adds each row's updates one at a time in input order, so into a zeroed
+    float64 ``out`` the result is bitwise equal to ``np.add.at`` whichever
+    rung runs:
 
-    * ``"add_at"`` — tiny inputs (< :data:`SCATTER_SMALL_N` updates);
-    * ``"reduceat"`` — ``idx`` is non-decreasing (HiCOO tasks know this from
-      their cached sortedness flags): one segmented reduction, no sort;
-    * ``"bincount"`` — general case, one ``np.bincount`` per output column;
-    * ``"sort_reduceat"`` — output rows vastly outnumber updates, where
-      bincount's full-output walk loses to sorting the updates first;
+    * ``"add_at"`` — tiny inputs (<= :data:`SCATTER_SMALL_N` updates), and
+      any non-float64 data (bincount sums in float64, so integer counts
+      would lose exactness);
+    * ``"bincount"`` — general case: one ``np.bincount`` over the
+      flattened ``(row, column)`` bins of the whole output;
+    * ``"compact"`` — output rows vastly outnumber updates, or
+      ``row_local``: the updates are first renumbered onto the distinct
+      rows they touch (O(n) when ``idx`` is non-decreasing, a sort
+      otherwise), then one bincount over those rows is added back to them;
     * ``"numba"`` — only when ``backend="numba"`` is requested, the tier is
       importable, **and** ``n >= SCATTER_COMPILED_MIN_N``: a jitted
-      update loop (no per-column passes, no index sort).  An unavailable
-      request silently stays on the NumPy ladder.
+      update loop.  An unavailable request silently stays on the NumPy
+      ladder.
 
-    ``presorted=None`` probes sortedness (one O(n) pass, cheap next to the
-    scatter itself); pass ``True``/``False`` when the caller already knows.
-    ``row_local=True`` restricts the choice to backends that write only the
-    rows in ``idx`` — required when ``out`` is shared between concurrent
-    tasks that own disjoint row ranges (the lock-free superblock schedule):
-    bincount adds a full-length column and would race on unowned rows.
-    ``out`` may be 1-D (with 1-D ``acc``) or 2-D (rows x rank).
+    ``presorted`` tells the compact rung that ``idx`` is non-decreasing
+    (HiCOO tasks know this from their cached sortedness flags); ``None``
+    probes it when needed.  ``row_local=True`` restricts the choice to
+    backends that write only the rows in ``idx`` — required when ``out`` is
+    shared between concurrent tasks that own disjoint row ranges (the
+    lock-free superblock schedule): bincount adds a full-length buffer and
+    would race on unowned rows.  ``out`` may be 1-D (with 1-D ``acc``) or
+    2-D (rows x rank).
 
     Each call increments the ``scatter.calls`` / ``scatter.updates`` /
     ``scatter.<backend>`` counters of :mod:`repro.obs.metrics` (so the
     compiled tiers surface as ``scatter.numba`` / ``scatter.cupy``).
     """
     backend = _scatter_add(out, idx, acc, presorted, row_local, backend)
-    reg = metrics.get_registry()
-    if reg.enabled:
-        reg.inc("scatter.calls", labels={"backend": backend})
-        reg.inc("scatter.updates", len(idx))
-        reg.inc("scatter." + backend)
+    _count_scatter(backend, len(idx))
     return backend
 
 
+def _count_scatter(backend: str, n: int) -> None:
+    reg = metrics.get_registry()
+    if reg.enabled:
+        reg.inc("scatter.calls", labels={"backend": backend})
+        reg.inc("scatter.updates", n)
+        reg.inc("scatter." + backend)
+
+
 def choose_scatter_backend(n: int, rows: int,
-                           presorted: bool = False,
                            row_local: bool = False,
                            backend: str | None = None,
                            compiled_available: bool | None = None) -> str:
-    """Pure backend choice for an ``n``-update scatter into ``rows`` rows.
+    """Pure backend choice for an ``n``-update float64 scatter into ``rows``
+    rows.
 
     Factored out of :func:`scatter_add` so the crossover policy — in
     particular that compiled tiers are never chosen below
@@ -130,10 +142,8 @@ def choose_scatter_backend(n: int, rows: int,
             compiled_available = tier_available(backend)
         if compiled_available:
             return backend
-    if presorted:
-        return "reduceat"
     if row_local or rows > _SPARSE_OUT_RATIO * n:
-        return "sort_reduceat"
+        return "compact"
     return "bincount"
 
 
@@ -141,59 +151,72 @@ def _scatter_add(out, idx, acc, presorted, row_local, backend=None) -> str:
     n = len(idx)
     if n == 0:
         return "noop"
-    if presorted is None and SCATTER_SMALL_N < n:
-        presorted = bool(np.all(idx[1:] >= idx[:-1]))
-    choice = choose_scatter_backend(n, out.shape[0], bool(presorted),
-                                    row_local, backend)
+    if out.dtype != np.float64 or acc.dtype != np.float64:
+        choice = "add_at"
+    else:
+        choice = choose_scatter_backend(n, out.shape[0], row_local, backend)
     if choice == "add_at":
         np.add.at(out, idx, acc)
     elif choice == "numba":
         from .compiled import scatter_add_compiled
 
         scatter_add_compiled(out, idx, acc)
-    elif choice == "reduceat":
-        _segment_add(out, idx, acc)
-    elif choice == "sort_reduceat":
-        order = np.argsort(idx, kind="stable")
-        _segment_add(out, idx[order], acc[order])
-    else:  # bincount
-        rows = out.shape[0]
-        if acc.ndim == 1:
-            out += np.bincount(idx, weights=acc, minlength=rows)
+    elif choice == "compact":
+        if presorted is None:
+            presorted = bool(np.all(idx[1:] >= idx[:-1]))
+        if presorted:
+            first = np.empty(n, dtype=bool)
+            first[0] = True
+            np.not_equal(idx[1:], idx[:-1], out=first[1:])
+            rows = idx[first]
+            local = np.cumsum(first) - 1
         else:
-            for r in range(acc.shape[1]):
-                out[:, r] += np.bincount(idx, weights=acc[:, r],
-                                         minlength=rows)
+            rows, local = np.unique(idx, return_inverse=True)
+        # rows are pairwise distinct, so fancy += is exact and writes only
+        # the rows in idx
+        out[rows] += _bincount_rows(local, acc, len(rows))
+    else:  # bincount
+        out += _bincount_rows(idx, acc, out.shape[0])
     return choice
 
 
-def _segment_add(out: np.ndarray, idx: np.ndarray, acc: np.ndarray) -> None:
-    """Segmented reduction of ``acc`` into ``out``; ``idx`` non-decreasing."""
-    starts = np.concatenate([[0], np.flatnonzero(idx[1:] != idx[:-1]) + 1])
-    sums = np.add.reduceat(acc, starts, axis=0)
-    # idx[starts] are pairwise distinct (idx is sorted), so fancy += is exact
-    out[idx[starts]] += sums
+def _bincount_rows(idx: np.ndarray, acc: np.ndarray,
+                   nrows: int) -> np.ndarray:
+    """Per-row sums of ``acc`` into a fresh ``(nrows, R)`` (or ``(nrows,)``)
+    array in one ``np.bincount`` pass.
+
+    A 2-D ``acc`` is flattened onto bins ``idx * R + column``, so one pass
+    covers all R columns; every bin is summed in input order.  The flat
+    index is rebuilt per call — caching it would cost ``8 R`` bytes per
+    update per mode.
+    """
+    if acc.ndim == 1:
+        return np.bincount(idx, weights=acc, minlength=nrows)
+    rank = acc.shape[1]
+    flat = idx.astype(np.int64, copy=False)[:, None] * rank + np.arange(rank)
+    sums = np.bincount(flat.ravel(), weights=acc.ravel(),
+                       minlength=nrows * rank)
+    return sums.reshape(nrows, rank)
 
 
 def scatter_add_sequential(out: np.ndarray, idx: np.ndarray, acc: np.ndarray,
                            backend: str | None = None) -> str:
     """Scatter-add with a *pinned* summation order: left-to-right in input
-    order, per output row — bitwise-identical to ``np.add.at``.
+    order, per output row — bitwise-identical to ``np.add.at`` into a
+    zeroed float64 ``out``.
 
-    :func:`scatter_add` is free to pick ``reduceat``-family backends whose
-    pairwise reductions round differently from a sequential loop, and its
-    choice depends on ``n`` and the output shape — so tiling one input
-    stream into chunks can change the result in the last ulp.  This variant
-    only ever uses backends that accumulate each row's updates one at a
-    time in array order (``np.add.at``, per-column ``np.bincount``, or the
-    jitted sequential loop of the numba tier), which makes the result
-    invariant under any row-disjoint chunking of the input.  The ALTO
-    format pins its scatters here so every backend and thread count
-    reproduces the COO oracle bit for bit (DESIGN.md section 13).
+    Unlike :func:`scatter_add`, whose rung depends on ``n`` and the output
+    shape, this variant only ever uses ``np.add.at``, one flattened
+    ``np.bincount`` over the local row span, or the jitted sequential loop
+    of the numba tier, and it never writes outside ``[idx.min(),
+    idx.max()]``.  That makes the result invariant under any row-disjoint
+    chunking of the input.  The ALTO format pins its scatters here so
+    every backend and thread count reproduces the COO oracle bit for bit
+    (DESIGN.md section 13).
 
-    Writes only rows in ``[idx.min(), idx.max()]``; when ``out`` is shared
-    between concurrent tasks the caller must own that whole interval (the
-    equal-nnz ALTO partition cuts at row boundaries, so it does).
+    When ``out`` is shared between concurrent tasks the caller must own
+    that whole interval (the equal-nnz ALTO partition cuts at row
+    boundaries, so it does).
     """
     n = len(idx)
     if n == 0:
@@ -208,32 +231,20 @@ def scatter_add_sequential(out: np.ndarray, idx: np.ndarray, acc: np.ndarray,
         from .compiled import scatter_add_compiled
 
         scatter_add_compiled(out, idx, acc)
-    elif n > SCATTER_SMALL_N:
-        # bincount accumulates each bin sequentially in array order — same
-        # bits as add_at, much faster — but walks the whole local row span,
-        # so fall back to add_at when the span dwarfs the update count
+    elif (n > SCATTER_SMALL_N and out.dtype == np.float64
+          and acc.dtype == np.float64):
+        # bincount walks the whole local row span, so fall back to add_at
+        # when the span dwarfs the update count
         lo = int(idx.min())
         hi = int(idx.max()) + 1
         if hi - lo <= _SPARSE_OUT_RATIO * n:
             choice = "bincount"
-            local = idx - lo
-            span = hi - lo
-            if acc.ndim == 1:
-                out[lo:hi] += np.bincount(local, weights=acc,
-                                          minlength=span)
-            else:
-                for r in range(acc.shape[1]):
-                    out[lo:hi, r] += np.bincount(local, weights=acc[:, r],
-                                                 minlength=span)
+            out[lo:hi] += _bincount_rows(idx - lo, acc, hi - lo)
         else:
             np.add.at(out, idx, acc)
     else:
         np.add.at(out, idx, acc)
-    reg = metrics.get_registry()
-    if reg.enabled:
-        reg.inc("scatter.calls", labels={"backend": choice})
-        reg.inc("scatter.updates", n)
-        reg.inc("scatter." + choice)
+    _count_scatter(choice, n)
     return choice
 
 
@@ -281,7 +292,7 @@ class TaskGather:
     values : (nnz,) float64 — the nonzero values in the same order (constant
         per tensor, cached so the numeric pass is slice-free).
     sorted_modes : (N,) bool — whether ``ginds[:, m]`` is non-decreasing;
-        a sorted scatter mode takes the segmented-reduction backend.
+        a sorted scatter mode finds its distinct rows in O(n), no sort.
     """
 
     runs: Tuple[Tuple[int, int], ...]

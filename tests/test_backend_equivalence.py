@@ -41,9 +41,10 @@ COMPILED_TIERS = [
     for t in ("numba", "cupy")
 ]
 
-#: ULP budget for paths that reassociate row reductions: the oracle may
-#: accumulate a row with sequential ``bincount`` while a parallel task uses
-#: pairwise ``add.reduceat``, and privatized runs add one cross-worker sum.
+#: ULP budget for paths that reassociate row reductions: every scatter
+#: rung adds a row's updates in input order, but a format or partition may
+#: visit a row's nonzeros in another order than the COO oracle (HiCOO's
+#: Morton order), and privatized runs add one cross-worker sum.
 #: Reassociating a k-term all-positive sum perturbs the result by O(k) ULP
 #: at worst; with <= ~100 contributions per row the observed worst case
 #: across the seeds below is 7 ULP.  Bitwise identity is still asserted
@@ -352,7 +353,7 @@ def test_alto_sim_and_thread_bitwise(seed):
                                strategy="privatize")
         _check_against_oracle(priv.output, oracle,
                               f"seed={seed} mode={mode} alto privatize")
-        # the format's own reduceat-based oracle stays ULP-close too
+        # the format's own scatter_add kernel stays ULP-close too
         _check_against_oracle(coo.mttkrp(factors, mode), oracle,
                               f"seed={seed} mode={mode} coo.mttkrp")
 

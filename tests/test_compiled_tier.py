@@ -92,8 +92,8 @@ def test_scatter_crossover_policy():
     # mid-range: the NumPy ladder even when the tier is available
     assert choose_scatter_backend(mid, 100, backend="numba",
                                   compiled_available=True) == "bincount"
-    assert choose_scatter_backend(mid, 100, presorted=True, backend="numba",
-                                  compiled_available=True) == "reduceat"
+    assert choose_scatter_backend(mid, 100, row_local=True, backend="numba",
+                                  compiled_available=True) == "compact"
     # at/above the crossover: the compiled tier (when available)...
     assert choose_scatter_backend(big, 100, backend="numba",
                                   compiled_available=True) == "numba"

@@ -67,6 +67,31 @@ class TestFormatAgreement:
         np.testing.assert_allclose(a.fits, b.fits, atol=1e-10)
 
 
+class TestFitFromMttkrp:
+    """The solver takes each iteration's fit from the last MTTKRP; the
+    sparse inner product of :meth:`KruskalTensor.fit` is the oracle."""
+
+    @pytest.mark.parametrize("fmt", ["coo", "csf", "hicoo", "alto"])
+    def test_every_iteration_matches_sparse_oracle(self, small3d, rng, fmt):
+        from repro.formats import as_format
+
+        tensor = as_format(small3d, fmt)
+        init = [rng.random((s, 3)) for s in small3d.shape]
+        full = cp_als(tensor, 3, maxiters=4, tol=0.0, init=init)
+        for k in range(1, 5):
+            # a k-iteration run ends on the model behind full.fits[k - 1]
+            model = cp_als(tensor, 3, maxiters=k, tol=0.0, init=init).ktensor
+            oracle = model.fit(small3d)
+            assert full.fits[k - 1] == pytest.approx(oracle, rel=1e-10)
+
+    def test_empty_tensor(self, rng):
+        empty = CooTensor.empty((4, 5, 6))
+        init = [rng.random((s, 2)) for s in empty.shape]
+        res = cp_als(empty, 2, maxiters=2, tol=0.0, init=init)
+        oracle = res.ktensor.fit(empty)
+        assert res.fits == [oracle, oracle]
+
+
 class TestInterface:
     def test_bad_rank(self, small3d):
         with pytest.raises(ValueError):

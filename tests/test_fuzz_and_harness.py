@@ -44,6 +44,20 @@ class TestTnsFuzz:
         assert np.array_equal(a.indices, b.indices)
         np.testing.assert_allclose(a.values, b.values)
 
+    @given(st.lists(
+        st.tuples(st.integers(1, 2**40), st.integers(1, 9),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+        min_size=1, max_size=40, unique_by=lambda r: r[:2]))
+    @settings(max_examples=40, deadline=None)
+    def test_fast_path_parses_exactly(self, rows):
+        """The vectorized reader gives the bits Python's int()/float()
+        give, line by line."""
+        lines = "".join(f"{i} {j} {v!r}\n" for i, j, v in rows)
+        got = read_tns(io.StringIO(lines)).sort_lexicographic()
+        want = sorted((i - 1, j - 1, v) for i, j, v in rows)
+        assert got.indices.tolist() == [[i, j] for i, j, _ in want]
+        assert got.values.tolist() == [v for _, _, v in want]
+
     def test_huge_exact_coordinates(self):
         big = 2**53 + 1
         t = read_tns(io.StringIO(f"{big} 1 1.0\n"))
@@ -56,6 +70,11 @@ class TestTnsFuzz:
     def test_scientific_notation_coordinate_rejected(self):
         with pytest.raises(ValueError, match="integers"):
             read_tns(io.StringIO("1e2 1 1.0\n"))
+
+    def test_non_ascii_text_skips_the_fast_parser(self):
+        # NumPy's loadtxt tokenizer segfaults on this line
+        with pytest.raises(ValueError, match="line 1: non-numeric"):
+            read_tns(io.StringIO("\U0010406c 1\n"))
 
 
 class TestRunAllAssembler:

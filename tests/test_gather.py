@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.hicoo import HicooTensor
 from repro.kernels.gather import (SCATTER_SMALL_N, build_task_gather,
                                   coalesce_runs, mttkrp_gather_chunk,
-                                  runs_from_block_ids, scatter_add)
+                                  runs_from_block_ids, scatter_add,
+                                  scatter_add_sequential)
 from tests.conftest import make_random_coo
 
 
@@ -32,7 +35,7 @@ class TestScatterAdd:
         backend = scatter_add(out, idx, acc)
         np.testing.assert_allclose(out, _reference_scatter(rows, idx, acc),
                                    atol=1e-12)
-        assert backend in ("add_at", "reduceat", "bincount", "sort_reduceat")
+        assert backend in ("add_at", "bincount", "compact")
 
     def test_backend_selection(self):
         rng = np.random.default_rng(0)
@@ -40,20 +43,20 @@ class TestScatterAdd:
         out = np.zeros((10, 2))
         idx = rng.integers(0, 10, size=SCATTER_SMALL_N)
         assert scatter_add(out, idx, rng.normal(size=(len(idx), 2))) == "add_at"
-        # sorted input -> reduceat
+        # sorted input -> the same one-pass bincount as unsorted input
         out = np.zeros((50, 2))
         idx = np.sort(rng.integers(0, 50, size=400))
-        assert scatter_add(out, idx, rng.normal(size=(400, 2))) == "reduceat"
+        assert scatter_add(out, idx, rng.normal(size=(400, 2))) == "bincount"
         # unsorted, comparable output size -> bincount
         out = np.zeros((50, 2))
         idx = rng.permutation(np.repeat(np.arange(50), 8))
         assert scatter_add(out, idx, rng.normal(size=(400, 2))) == "bincount"
-        # unsorted, output far larger than update count -> sort_reduceat
+        # unsorted, output far larger than update count -> compact
         out = np.zeros((100_000, 2))
         idx = rng.integers(0, 100_000, size=400)
         idx[::2] = idx[::-2]  # scramble so it is not sorted
         assert scatter_add(out, idx, rng.normal(size=(400, 2))) \
-            == "sort_reduceat"
+            == "compact"
 
     def test_row_local_avoids_bincount(self):
         rng = np.random.default_rng(1)
@@ -61,7 +64,7 @@ class TestScatterAdd:
         idx = rng.permutation(np.repeat(np.arange(50), 8))
         acc = rng.normal(size=(400, 2))
         backend = scatter_add(out, idx, acc, row_local=True)
-        assert backend == "sort_reduceat"
+        assert backend == "compact"
         np.testing.assert_allclose(out, _reference_scatter(50, idx, acc),
                                    atol=1e-12)
 
@@ -70,7 +73,13 @@ class TestScatterAdd:
         idx = np.sort(rng.integers(0, 30, size=300))
         acc = rng.normal(size=(300, 3))
         out = np.zeros((30, 3))
-        assert scatter_add(out, idx, acc, presorted=True) == "reduceat"
+        assert scatter_add(out, idx, acc, presorted=True) == "bincount"
+        np.testing.assert_allclose(out, _reference_scatter(30, idx, acc),
+                                   atol=1e-12)
+        # the flag lets the row-local rung find its rows without a sort
+        out = np.zeros((30, 3))
+        assert scatter_add(out, idx, acc, presorted=True,
+                           row_local=True) == "compact"
         np.testing.assert_allclose(out, _reference_scatter(30, idx, acc),
                                    atol=1e-12)
 
@@ -84,6 +93,45 @@ class TestScatterAdd:
         counts = np.ones(200, dtype=np.int64)
         scatter_add(up, idx, counts, presorted=True)
         assert up.sum() == 200
+
+
+@st.composite
+def _scatter_case(draw):
+    """A float64 scatter: few or many distinct rows (long or short runs per
+    row), sorted or not, 1-D or 2-D, into a dense or a sparse output."""
+    n = draw(st.integers(0, 1500))
+    sparse_out = draw(st.booleans())
+    rows = (draw(st.integers(8 * n + 1, 8 * n + 5000)) if sparse_out
+            else draw(st.integers(1, max(1, n // 2))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.choice(rows, size=min(rows, draw(st.integers(1, 64))),
+                      replace=False)
+    idx = pool[rng.integers(0, len(pool), size=n)]
+    presorted = draw(st.booleans())
+    if presorted:
+        idx = np.sort(idx)
+    rank = draw(st.sampled_from([0, 1, 3, 16]))  # 0 -> 1-D
+    size = (n,) if rank == 0 else (n, rank)
+    # magnitudes spread over 16 decades make any reordering show in the bits
+    acc = rng.normal(size=size) * 10.0 ** rng.integers(-8, 8, size=size)
+    return rows, idx, acc, presorted
+
+
+@given(_scatter_case())
+@settings(max_examples=80, deadline=None)
+def test_scatters_are_bitwise_add_at(case):
+    rows, idx, acc, presorted = case
+    ref = _reference_scatter(rows, idx, acc)
+    runs = [lambda out: scatter_add(out, idx, acc),
+            lambda out: scatter_add(out, idx, acc, presorted=presorted),
+            lambda out: scatter_add(out, idx, acc, presorted=presorted,
+                                    row_local=True),
+            lambda out: scatter_add_sequential(out, idx, acc)]
+    for run in runs:
+        out = np.zeros_like(ref)
+        backend = run(out)
+        np.testing.assert_array_equal(out.view(np.uint64),
+                                      ref.view(np.uint64), err_msg=backend)
 
 
 class TestRunCoalescing:

@@ -127,6 +127,12 @@ class TestStreaming:
         with pytest.raises(ValueError):
             list(read_tns_chunks(path, chunk_nnz=0))
 
+    def test_read_tns_chunks_errors_name_the_file_line(self, tmp_path):
+        path = tmp_path / "late.tns"
+        path.write_text("# header\n1 1 1.0\n2 2 2.0\n3 3 3.0\n4 x 4.0\n")
+        with pytest.raises(ValueError, match="line 5: non-numeric"):
+            list(read_tns_chunks(path, chunk_nnz=2))
+
     def test_mttkrp_on_streamed(self, small3d, rng):
         streamed = hicoo_from_chunks(self._chunks_of(small3d, 64),
                                      block_bits=3, shape=small3d.shape)
